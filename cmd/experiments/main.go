@@ -49,7 +49,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/sizes"
-	"repro/internal/store"
 )
 
 func main() {
@@ -57,14 +56,9 @@ func main() {
 	sizeName := flag.String("size", sizes.Default.String(), "problem size class: test, medium or large")
 	classesList := flag.String("classes", "", "comma-separated size classes for the scaling sweep (default: all)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	nocheck := flag.Bool("nocheck", false, "skip functional validation of GPU kernels")
 	outDir := flag.String("out", "", "directory to write one <id>.txt per artifact (optional)")
 	parallel := flag.Int("parallel", 1, "experiment worker count; 0 means GOMAXPROCS")
-	shardWorkers := flag.Int("workers", 0, "SM shard workers inside each simulation (results are bit-identical)")
-	epoch := flag.Int("epoch", 0, "cycles between shard synchronizations with -workers > 1; 1 = lockstep (bit-identical)")
-	replay := flag.Bool("replay", true, "trace each benchmark once and replay it for further configs")
-	storeDir := flag.String("store", "", "persistent artifact store directory (cached-or-computed results across runs)")
-	storeBytes := flag.Int64("store-bytes", 0, "byte cap of the on-disk store LRU (0 = default)")
+	cf := experiments.ContextFlags(flag.CommandLine)
 	tracelog := flag.Bool("tracelog", false, "log trace capture/replay/fallback decisions to stderr")
 	progress := flag.Bool("progress", false, "report live progress (done/total, percent, ETA) on stderr")
 	telemetry := flag.String("telemetry", "results", "directory for telemetry.json/telemetry.txt (empty disables)")
@@ -125,23 +119,14 @@ func main() {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	ctx := experiments.NewContext()
-	ctx.Check = !*nocheck
-	ctx.Replay = *replay
+	ctx, err := cf.Context(obs.New())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	defer cf.Close()
 	ctx.Size = size
 	ctx.ScalingClasses = scalingClasses
-	ctx.ShardWorkers = *shardWorkers
-	ctx.EpochCycles = *epoch
-	ctx.Obs = obs.New()
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir, *storeBytes, ctx.Obs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer st.Close()
-		ctx.Store = st
-	}
 	if *tracelog {
 		ctx.Obs.OnEvent("trace", func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "trace: "+format+"\n", args...)

@@ -12,7 +12,6 @@
 //	rodiniasim -replay=false        # re-execute kernels for every config of a sweep
 //	rodiniasim -nocheck             # skip functional validation
 //	rodiniasim -workers 4           # shard SMs across 4 goroutines (bit-identical)
-//	rodiniasim -workers 4 -epoch 64 # sync shards per 64-cycle epoch, not per cycle
 //	rodiniasim -parallel 0          # run benchmarks concurrently (0 = GOMAXPROCS)
 //	rodiniasim -store DIR           # persistent artifact store: warm-start repeat runs
 //	rodiniasim -store-bytes N       # byte cap of the on-disk store LRU
@@ -23,8 +22,9 @@
 // A multi-config sweep records each benchmark's functional execution
 // once and replays the trace under every further configuration
 // (bit-identical statistics, no kernel re-execution); -replay=false
-// forces full execution everywhere. A single-config run always executes
-// directly.
+// forces full execution everywhere. A single-config run executes
+// directly unless -store is given, in which case its trace is captured
+// for later sweeps.
 package main
 
 import (
@@ -36,13 +36,11 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/gpusim"
 	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/sizes"
-	"repro/internal/store"
 )
 
 // listBenchmarks prints every benchmark with its dwarf, the paper's
@@ -63,14 +61,9 @@ func main() {
 	sizeName := flag.String("size", sizes.Default.String(), "problem size class: test, medium or large")
 	list := flag.Bool("list", false, "list benchmarks with their per-class sizes and exit")
 	cfgName := flag.String("config", "base", "GPU configuration, or a comma-separated sweep")
-	replay := flag.Bool("replay", true, "in a multi-config sweep, trace each benchmark once and replay it")
-	nocheck := flag.Bool("nocheck", false, "skip functional validation against the CPU reference")
 	perKernel := flag.Bool("perkernel", false, "also print a per-kernel statistics breakdown")
-	workers := flag.Int("workers", 0, "SM shard workers inside each simulation (results are bit-identical)")
-	epoch := flag.Int("epoch", 0, "cycles between shard synchronizations with -workers > 1; 1 = lockstep (bit-identical)")
 	parallel := flag.Int("parallel", 1, "benchmarks simulated concurrently; 0 means GOMAXPROCS")
-	storeDir := flag.String("store", "", "persistent artifact store directory (cached-or-computed results across runs)")
-	storeBytes := flag.Int64("store-bytes", 0, "byte cap of the on-disk store LRU (0 = default)")
+	cf := experiments.ContextFlags(flag.CommandLine)
 	debugAddr := flag.String("debug-addr", "", "serve expvar JSON and pprof on this host:port while running")
 	prof := obs.ProfileFlags(flag.CommandLine)
 	flag.Parse()
@@ -110,11 +103,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		c.ShardWorkers = *workers
-		c.EpochCycles = *epoch
 		cfgs = append(cfgs, c)
 	}
-	cfg := cfgs[0]
 
 	var benches []*kernels.Benchmark
 	if *benchList == "" {
@@ -143,34 +133,22 @@ func main() {
 		sts []*gpusim.Stats // one per config
 		err error
 	}
-	// A multi-config sweep shares one experiments context so each
-	// benchmark's functional execution is traced once and replayed for
-	// the other configurations; a single-config run characterizes
+	// One experiments context serves every benchmark, so a multi-config
+	// sweep traces each benchmark's functional execution once and replays
+	// it for the other configurations. A single-config run executes
 	// directly (replay can never help it) — unless a persistent store is
-	// attached, which routes even single-config runs through the context
-	// so their artifacts land on (and warm-start from) disk.
-	var ctx *experiments.Context
-	if len(cfgs) > 1 || *storeDir != "" {
-		ctx = experiments.NewContext()
-		ctx.Check = !*nocheck
-		ctx.Replay = *replay
-		ctx.Size = size
-		ctx.Obs = reg
-		if *storeDir != "" {
-			st, err := store.Open(*storeDir, *storeBytes, reg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			defer st.Close()
-			ctx.Store = st
-		}
+	// attached, whose later runs the trace may warm-start.
+	ctx, err := cf.Context(reg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	defer cf.Close()
+	ctx.Size = size
+	if len(cfgs) == 1 && ctx.Store == nil {
+		ctx.Replay = false
 	}
 	runBench := func(b *kernels.Benchmark) outcome {
-		if ctx == nil {
-			st, err := core.CharacterizeGPUObs(b, size, cfg, !*nocheck, reg)
-			return outcome{sts: []*gpusim.Stats{st}, err: err}
-		}
 		var sts []*gpusim.Stats
 		for _, c := range cfgs {
 			st, err := ctx.GPU(b, c)

@@ -11,7 +11,7 @@
 //	simd -store-bytes 4294967296     # byte cap of the on-disk store LRU
 //	simd -nocheck                    # skip functional validation
 //	simd -replay=false               # re-execute kernels for every config
-//	simd -workers 4 -epoch 64        # shard/epoch execution knobs
+//	simd -workers 4                  # shard SMs across 4 goroutines (bit-identical)
 //
 // Endpoints:
 //
@@ -37,17 +37,11 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/simd"
-	"repro/internal/store"
 )
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8844", "listen address (host:port; port 0 picks an ephemeral port)")
-	storeDir := flag.String("store", "", "persistent artifact store directory (cached-or-computed results across restarts)")
-	storeBytes := flag.Int64("store-bytes", 0, "byte cap of the on-disk store LRU (0 = default)")
-	nocheck := flag.Bool("nocheck", false, "skip functional validation of GPU kernels")
-	replay := flag.Bool("replay", true, "trace each benchmark once and replay it for further configs")
-	workers := flag.Int("workers", 0, "SM shard workers inside each simulation (results are bit-identical)")
-	epoch := flag.Int("epoch", 0, "cycles between shard synchronizations with -workers > 1")
+	cf := experiments.ContextFlags(flag.CommandLine)
 	prof := obs.ProfileFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -58,20 +52,13 @@ func main() {
 	defer prof.Stop()
 
 	reg := obs.New()
-	ctx := experiments.NewContext()
-	ctx.Check = !*nocheck
-	ctx.Replay = *replay
-	ctx.ShardWorkers = *workers
-	ctx.EpochCycles = *epoch
-	ctx.Obs = reg
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir, *storeBytes, reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer st.Close()
-		ctx.Store = st
+	ctx, err := cf.Context(reg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	defer cf.Close()
+	if st := ctx.Store; st != nil {
 		fmt.Fprintf(os.Stderr, "simd: store %s (%d blobs, %d bytes)\n", st.Dir(), st.Len(), st.Bytes())
 	}
 

@@ -61,15 +61,13 @@ type Context struct {
 	// pass yields profiles identical to a serial one.
 	Workers int
 
-	// ShardWorkers and EpochCycles, when > 0, are stamped onto every
-	// configuration characterized through the context: SMs shard across
-	// that many goroutines inside each simulation, synchronizing once
-	// per EpochCycles-cycle epoch (1 = per-cycle lockstep). Results are
-	// bit-identical whatever the values — they are host-side execution
-	// knobs, not device parameters — so memoization ignores them, just
-	// as it ignores configuration names.
+	// ShardWorkers, when > 0, is stamped onto every configuration
+	// characterized through the context: SMs shard across that many
+	// goroutines inside each simulation, on the epoch-parallel engine at
+	// its default epoch length. Results are bit-identical whatever the
+	// value — it is a host-side execution knob, not a device parameter —
+	// so memoization ignores it, just as it ignores configuration names.
 	ShardWorkers int
-	EpochCycles  int
 
 	// Replay enables trace-once/replay-many characterization: the first
 	// run of a benchmark records a functional trace, and later runs under
@@ -184,15 +182,11 @@ func (c *Context) GPUAt(b *kernels.Benchmark, size sizes.Class, cfg gpusim.Confi
 	if c.ShardWorkers > 0 {
 		cfg.ShardWorkers = c.ShardWorkers
 	}
-	if c.EpochCycles > 0 {
-		cfg.EpochCycles = c.EpochCycles
-	}
 	key := gpuKey{bench: b.Abbrev, size: size, cfg: cfg}
 	key.cfg.Name = ""
-	// Execution knobs don't affect Stats (bit-identity is pinned by the
-	// determinism tests), so results memoize across them.
+	// The worker count doesn't affect Stats (bit-identity is pinned by
+	// internal/core's suite matrix), so results memoize across it.
 	key.cfg.ShardWorkers = 0
-	key.cfg.EpochCycles = 0
 	c.mu.Lock()
 	if c.gpuCalls == nil {
 		c.gpuCalls = make(map[gpuKey]*gpuCall)

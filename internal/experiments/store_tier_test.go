@@ -106,9 +106,9 @@ func TestStoreTierNormalizesHostKnobs(t *testing.T) {
 
 	warm, _ := storeContext(t, dir)
 	warm.ShardWorkers = 4
-	warm.EpochCycles = 64
 	renamed := gpusim.Base()
 	renamed.Name = "renamed-but-identical"
+	renamed.EpochCycles = 64
 	if _, err := warm.GPU(b, renamed); err != nil {
 		t.Fatal(err)
 	}

@@ -79,14 +79,13 @@ func TestTraceCacheUncacheable(t *testing.T) {
 }
 
 func TestTraceCacheFallbackReason(t *testing.T) {
-	rt := captureSmall(t, "BP")
+	rt := captureSmall(t, "BP") // captured under Base (28 SMs)
 	tc := newTraceCache(0, nil)
 	tc.insert(tid("A"), rt)
-	// The reference interpreter can never replay, so the lookup must miss
-	// and surface the reason.
-	cfg := gpusim.Base()
-	cfg.ReferenceInterp = true
-	got, reason := tc.lookup(tid("A"), &cfg, false)
+	// Strict placement rejects a different SM count, so the lookup must
+	// miss and surface the reason.
+	cfg := gpusim.Base8SM()
+	got, reason := tc.lookup(tid("A"), &cfg, true)
 	if got != nil || reason == "" {
 		t.Fatalf("lookup = %v, reason %q; want miss with a reason", got, reason)
 	}

@@ -39,9 +39,10 @@ func BenchmarkGPUCharacterize(b *testing.B) {
 // axis behind Config.ShardWorkers and Config.EpochCycles. Traces are
 // captured once under the base configuration (replay isolates the
 // timing engines from functional execution), and each sub-benchmark
-// reports the shard-barrier crossings its engine performed: lockstep
-// (epoch 1) crosses once per cycle, the epoch engine once per round.
-// BENCH_parallel.json records the host numbers.
+// reports the barrier crossings the epoch engine performed: once per
+// round, which epoch 1 makes once per simulated cycle. Workers=1 is the
+// sequential loop. No committed artifact records its host numbers; run
+// it with go test -run '^$' -bench BenchmarkShardScaling.
 func BenchmarkShardScaling(b *testing.B) {
 	var traces []*RunTrace
 	for _, bench := range kernels.All() {

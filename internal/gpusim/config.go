@@ -61,35 +61,26 @@ type Config struct {
 
 	LineSize int // cache line / coalescing segment size in bytes
 
-	// ShardWorkers is a host-side simulation knob, not an architectural
-	// parameter: values above 1 simulate the SMs on that many worker
-	// goroutines (capped at NumSMs). Results are bit-identical to the
-	// sequential path for every value, so it never changes what an
-	// experiment measures — only how fast it runs. 0 and 1 select the
-	// sequential simulator. One caveat: kernels using global atomics
-	// must run sequentially (the parallel path defers device stores and
-	// faults on atomics); no Rodinia kernel does.
-	ShardWorkers int
-
-	// EpochCycles is a host-side simulation knob for the shard-parallel
-	// path (ShardWorkers > 1): workers advance their SMs up to this many
-	// cycles between coordinator synchronizations instead of one, with
+	// ShardWorkers and EpochCycles are host-side simulation knobs, not
+	// architectural parameters. ShardWorkers above 1 simulates the SMs
+	// on that many worker goroutines (capped at NumSMs) with the
+	// epoch-parallel engine (epoch.go): workers advance their SMs up to
+	// EpochCycles cycles between coordinator synchronizations, with
 	// every memory-system interaction buffered per SM and replayed in
-	// global issue order at the epoch boundary (epoch.go). Results stay
-	// bit-identical to the sequential simulator for every value; trace
-	// replay benefits most (large epochs run unthrottled), while live
-	// execution conservatively stalls SMs at the store-visibility
-	// watermark. 0 and 1 select the per-cycle lockstep barrier. Ignored
-	// under ReferenceInterp, whose warps the epoch engine cannot inspect.
-	EpochCycles int
-
-	// ReferenceInterp is a host-side validation knob: when set, warps run
-	// on the retained per-thread reference interpreter (isa.RefWarp)
-	// instead of the optimized flat-register one. Results are required to
-	// be bit-identical; internal/core's differential tests pin that across
-	// all twelve benchmarks.
-	ReferenceInterp bool
+	// global issue order at the epoch boundary. EpochCycles 0 selects
+	// DefaultEpochCycles; 1 synchronizes every cycle. Results are
+	// bit-identical to the sequential simulator (ShardWorkers 0 or 1)
+	// for every value of both, so they never change what an experiment
+	// measures — only how fast it runs. One caveat: kernels using
+	// global atomics must run sequentially (the parallel engine defers
+	// device stores and faults on atomics); no Rodinia kernel does.
+	ShardWorkers int
+	EpochCycles  int
 }
+
+// DefaultEpochCycles is the epoch length the parallel engine runs at
+// when Config.EpochCycles is 0.
+const DefaultEpochCycles = 64
 
 // Validate reports configuration errors.
 func (c *Config) Validate() error {

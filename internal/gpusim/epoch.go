@@ -7,16 +7,20 @@ import (
 	"repro/internal/isa"
 )
 
-// The epoch-parallel launch path (Config.EpochCycles > 1) removes the
-// lockstep path's per-cycle barrier: each worker advances its SMs up to
-// EpochCycles cycles on SM-local state alone, buffering every step that
-// needs the launch-global memory system — and every deferred device
-// store — into a per-SM log with its issue cycle. At the epoch boundary
-// the coordinator merges the logs and replays them in (cycle, SM index)
-// order through the caches, DRAM channels, sharing tracker and store
-// buffers, which is exactly the order the sequential loop visits them,
-// so results stay bit-identical while barrier crossings drop from one
-// per cycle to one per epoch round.
+// The epoch-parallel engine is the launch path for Config.ShardWorkers >
+// 1. SMs are sharded across worker goroutines, and each worker advances
+// its SMs up to EpochCycles cycles on SM-local state alone, buffering
+// every step that needs the launch-global memory system — and every
+// deferred device store — into a per-SM log with its issue cycle. At the
+// epoch boundary the coordinator merges the logs and replays them in
+// (cycle, SM index) order through the caches, DRAM channels, sharing
+// tracker and store buffers, which is exactly the order the sequential
+// loop visits them, so results stay bit-identical with one barrier
+// crossing per epoch round. Within a cycle the sequential order is
+// exec(sm0), price(sm0), exec(sm1), …, and execution never reads
+// pricing state, so executing SMs concurrently and pricing afterwards
+// observes the same values everywhere; the per-worker stats shards are
+// commutative sums merged in worker order at the end.
 //
 // What makes running ahead safe:
 //
@@ -32,9 +36,11 @@ import (
 //     architecturally ALULatency — but their lines still replay in order
 //     for bandwidth, cache state and the store's visibility point.
 //   - Store visibility. Functional stores to device memory sit in the
-//     SM's isa.StoreBuffer (as on the lockstep path), tagged by event
-//     with their count; the coordinator flushes exactly the prefix
-//     belonging to each replayed event. A load therefore observes
+//     SM's isa.StoreBuffer, tagged by event with their count, so
+//     concurrent SMs never write shared memory (Rodinia kernels issue
+//     CUDA-benign same-value writes from different CTAs, as BFS does
+//     marking a common neighbor). The coordinator flushes exactly the
+//     prefix belonging to each replayed event. A load therefore observes
 //     precisely the stores from cycles before its own, launch-wide. In
 //     replay mode (trace-driven warps) functional memory is never read,
 //     so epochs run at full length unconditionally. In live mode a
@@ -106,8 +112,8 @@ type epochSM struct {
 
 // runEpoch executes the launch with SMs sharded across workers (worker w
 // owns SMs w, w+workers, …; the caller doubles as worker 0 and
-// coordinator), synchronizing once per epoch round instead of once per
-// cycle. Callers guarantee workers ≥ 2 and ≤ len(ls.sms), epoch ≥ 2.
+// coordinator), synchronizing once per epoch round. Callers guarantee
+// workers ≥ 2 and ≤ len(ls.sms), epoch ≥ 1.
 func (ls *launchState) runEpoch(workers, epoch int) error {
 	nsm := len(ls.sms)
 	if ls.pending == 0 {
@@ -151,9 +157,11 @@ func (ls *launchState) runEpoch(workers, epoch int) error {
 		lo.barrierWaitNs = make([]uint64, workers)
 	}
 
-	// Same sampled wait-time telemetry as the lockstep path; see
-	// runParallel. Epoch rounds are long, so sampling matters less here,
-	// but the shared schedule keeps the two paths comparable.
+	// waitA crosses the barrier that ends a round's SM execution, timing
+	// this worker's wait — how long it idles for the slowest shard — on a
+	// 1-in-barrierSample schedule keyed to the worker's own crossing
+	// count: extrapolated into the worker's launchObs slot, raw into the
+	// fleet-wide histogram. Per-worker slots keep it race-free.
 	waitA := func(wid int, crossing uint64, sense *int32) {
 		if lo != nil && crossing%barrierSample == 0 {
 			t0 := time.Now()
@@ -202,7 +210,6 @@ func (ls *launchState) runEpoch(workers, epoch int) error {
 		processed, finished := ls.replayEpochEvents(eps, horizon, &execErr)
 		if lo != nil {
 			lo.barrierCrossings++
-			lo.epochRounds++
 			lo.roundHist.Observe(horizon - flushedTo)
 		}
 		flushedTo = horizon
@@ -250,7 +257,9 @@ func (ls *launchState) runEpoch(workers, epoch int) error {
 		return runErr
 	}
 
-	// Deterministic merge: shards in worker order, as on the lockstep path.
+	// Deterministic merge: shards in worker order. All shard counters are
+	// commutative sums (Cycles, Launches, CTAs and PeakBytesPerCycle stay
+	// zero on shards), so the totals equal the sequential loop's.
 	for w := 0; w < workers; w++ {
 		ls.sink.g.Merge(shards[w].g)
 		for i, sp := range ls.specs {
@@ -517,9 +526,8 @@ func smNextIssue(sm *smRT, now uint64) uint64 {
 // gatedWarp reports whether issuing the warp now could observe device
 // memory ahead of the flush watermark: its next instruction reads a
 // space some live kernel stores to. Replay warps never touch functional
-// memory; a warp that cannot be inspected gates conservatively (which
-// cannot happen on this path — the reference interpreter forces
-// lockstep, see GPU.epochCycles).
+// memory; a warp the gate cannot inspect — the reference interpreter's,
+// under the GPU.refInterp test hook — gates conservatively.
 func gatedWarp(w *warpRT, gateMask uint32) bool {
 	if w.cta.spec.trace != nil {
 		return false

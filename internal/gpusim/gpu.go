@@ -16,8 +16,8 @@ import (
 // model (dram.go). Configuration differences such as Fermi vs. GT200 are
 // expressed as component wiring, not branches in the event loop
 // (launch.go). Setting Config.ShardWorkers > 1 simulates SMs on worker
-// goroutines with results bit-identical to the sequential path
-// (parallel.go).
+// goroutines with the epoch-parallel engine, whose results are
+// bit-identical to the sequential loop's (epoch.go).
 type GPU struct {
 	cfg   Config
 	Stats *Stats
@@ -30,6 +30,13 @@ type GPU struct {
 	// capture, when non-nil, records the functional half of every launch
 	// into a RunTrace for later replay (trace.go).
 	capture *TraceBuilder
+
+	// refInterp is a test-only validation hook: live warps run on the
+	// retained per-thread reference interpreter (isa.RefWarp) instead of
+	// the optimized one. Results must be bit-identical; the package's
+	// reference differential pins that across all twelve benchmarks.
+	// Replayed warps never execute, so replay ignores it.
+	refInterp bool
 
 	// obsC, when non-nil, is the cached set of registry instruments the
 	// per-launch telemetry flush writes (obs.go in this package). Nil by
@@ -168,11 +175,11 @@ func (g *GPU) runLaunch(rss []*runSpec) error {
 	}
 	var err error
 	if w := g.shardWorkers(); w > 1 {
-		if e := g.epochCycles(); e > 1 {
-			err = ls.runEpoch(w, e)
-		} else {
-			err = ls.runParallel(w)
+		e := g.cfg.EpochCycles
+		if e == 0 {
+			e = DefaultEpochCycles
 		}
+		err = ls.runEpoch(w, e)
 	} else {
 		err = ls.run()
 	}
@@ -229,17 +236,6 @@ func (g *GPU) shardWorkers() int {
 		w = g.cfg.NumSMs
 	}
 	return w
-}
-
-// epochCycles resolves the epoch length the parallel path runs at. The
-// reference interpreter forces lockstep: its warps cannot be inspected
-// for the live-mode store-visibility gate (no Peek), and validation runs
-// do not chase speed anyway.
-func (g *GPU) epochCycles() int {
-	if g.cfg.ReferenceInterp || g.cfg.EpochCycles < 1 {
-		return 1
-	}
-	return g.cfg.EpochCycles
 }
 
 type cacheCounts struct{ l1h, l1m, l2h, l2m, ch, cm, th, tm uint64 }

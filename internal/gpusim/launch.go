@@ -77,9 +77,9 @@ type smRT struct {
 	skipUntil uint64
 
 	// storeBuf, when non-nil, defers the SM's device-memory stores so the
-	// parallel path can execute SMs concurrently; the coordinator flushes
-	// the buffers in SM index order each cycle. Nil on the sequential
-	// path, where stores apply immediately.
+	// epoch engine can execute SMs concurrently; the coordinator flushes
+	// them in global issue order as it replays the epoch logs. Nil on the
+	// sequential path, where stores apply immediately.
 	storeBuf *isa.StoreBuffer
 
 	// Per-SM resource accounting, so CTAs of different kernels can share
@@ -206,8 +206,8 @@ type launchState struct {
 
 // fill assigns pending CTAs round-robin across kernels to an SM while its
 // resource budgets allow. now is the SM's current cycle — the launch
-// clock on the sequential and lockstep paths, the SM-local retire cycle
-// on the epoch path — and fresh warps become ready at it.
+// clock on the sequential path, the SM-local retire cycle on the epoch
+// path — and fresh warps become ready at it.
 func (ls *launchState) fill(sm *smRT, now uint64) {
 	for {
 		placed := false
@@ -221,7 +221,7 @@ func (ls *launchState) fill(sm *smRT, now uint64) {
 			switch {
 			case sp.trace != nil:
 				cta = isa.MakeReplayCTA(sp.trace, sp.nextCTA)
-			case ls.g.cfg.ReferenceInterp:
+			case ls.g.refInterp:
 				cta = isa.MakeCTARef(sp.k, sp.nextCTA, sp.launch, sp.mem)
 			default:
 				cta = isa.MakeCTA(sp.k, sp.nextCTA, sp.launch, sp.mem)
@@ -377,10 +377,8 @@ func (ls *launchState) nextEvent() (uint64, bool) {
 // ALU/SFU/control pricing, barrier arrival, and the SM-private memory
 // spaces (parameter, shared). Memory instructions that route through the
 // launch-global memory system are returned with mem=true for the caller
-// to price via priceShared. Safe to call concurrently for SMs on
-// different shards when each shard has its own sink. now is the cycle
-// the SM is executing — the launch clock on the sequential and lockstep
-// paths, the SM-local clock on the epoch path.
+// to price via priceShared. now is the launch clock of the sequential
+// loop, its only caller.
 func (ls *launchState) execOne(sm *smRT, sink statsSink, out *issuedStep, now uint64) (bool, error) {
 	if sm.skipUntil > now {
 		return false, nil
@@ -394,7 +392,9 @@ func (ls *launchState) execOne(sm *smRT, sink statsSink, out *issuedStep, now ui
 
 // execWarp is execOne past warp selection: it executes one instruction
 // of w and settles every SM-local charge. The epoch path calls it
-// directly after its own pick-and-gate step.
+// directly after its own pick-and-gate step, concurrently for SMs on
+// different shards, each shard with its own sink; now is then the SM's
+// local clock.
 func (ls *launchState) execWarp(sm *smRT, w *warpRT, sink statsSink, out *issuedStep, now uint64) error {
 	st := &out.st
 	// Devirtualize the two hot executors: this call runs once per warp
@@ -491,7 +491,7 @@ func (ls *launchState) settleTiming(sm *smRT, step *issuedStep, now uint64) {
 
 // maybeRetire retires the warp's CTA slot if it just finished. Mutates
 // launch-global dispatch state (pending, rrSpec, CTA cursors), so the
-// parallel path defers it to the serialized phase.
+// epoch engine defers full-CTA retires to the coordinator's replay.
 func (ls *launchState) maybeRetire(sm *smRT, w *warpRT, now uint64) {
 	if w.done && !w.retired {
 		ls.retire(sm, w, now)

@@ -10,10 +10,10 @@ import (
 // loop never touches an atomic:
 //
 //   - launchObs is a per-launch tally of plain integers. The sequential
-//     loop owns it outright; on the parallel path every mutable field is
+//     loop owns it outright; on the epoch engine every mutable field is
 //     either a per-SM array slot (each SM belongs to exactly one worker)
 //     or coordinator-only state, so no synchronization is needed beyond
-//     the phase barrier's existing happens-before edges.
+//     the worker barrier's existing happens-before edges.
 //   - gpuCounters caches the registry instruments once per SetObs call
 //     — including the per-SM labeled counters — and flushObs folds a
 //     finished launch's tallies into them. Registry lookups therefore
@@ -26,7 +26,7 @@ import (
 // launchObs tallies one launch's timing telemetry.
 type launchObs struct {
 	// Per-SM, indexed by SM number. Written only by the SM's owning
-	// goroutine (sequential loop or the parallel worker that shards it).
+	// goroutine (sequential loop or the epoch worker that shards it).
 	busy      []uint64 // cycles the SM issued a warp instruction
 	stallPort []uint64 // cycles lost to issue-port back-pressure (issueFreeAt)
 	stallSkip []uint64 // cycles skipped via the scheduler's skipUntil bound
@@ -37,18 +37,17 @@ type launchObs struct {
 	epochHolds []uint64 // SM freezes at a full-CTA retire
 	epochGates []uint64 // SM stalls at the store-visibility watermark
 
-	// Per-worker, indexed by worker id; allocated by the parallel paths
-	// at launch start and written only by the owning worker. Sampled
-	// phase-A barrier wait, extrapolated ×barrierSample.
+	// Per-worker, indexed by worker id; allocated by the epoch engine at
+	// launch start and written only by the owning worker. Sampled
+	// barrier wait, extrapolated ×barrierSample.
 	barrierWaitNs []uint64
 
-	// Coordinator-only (phase B / sequential loop).
+	// Coordinator-only (epoch replay / sequential loop).
 	skipAhead        uint64 // cycles elided by event-driven clock jumps
 	dramBacklog      uint64 // summed channel backlog at enqueue, in cycles
 	dramMaxBacklog   uint64 // worst single-channel backlog observed
 	dramAccesses     uint64 // line transactions enqueued
-	barrierCrossings uint64 // barrier rounds: per cycle in lockstep, per epoch in epoch mode
-	epochRounds      uint64 // coordinator rounds on the epoch path
+	barrierCrossings uint64 // coordinator rounds on the epoch path, one barrier each
 
 	// Registry histograms, observed directly (atomic, concurrency-safe):
 	// raw per-worker barrier-wait samples and per-round epoch advance.
@@ -71,9 +70,9 @@ func newLaunchObs(numSMs int, c *gpuCounters) *launchObs {
 	}
 }
 
-// barrierSample is the coordinator's shard-barrier sampling period: one
-// in every barrierSample phase-A waits is timed and extrapolated, keeping
-// clock reads off the per-cycle path.
+// barrierSample is the epoch workers' barrier sampling period: one in
+// every barrierSample waits is timed and extrapolated, keeping clock
+// reads off the common path.
 const barrierSample = 64
 
 // gpuCounters is the registry-instrument cache flushObs writes into.
@@ -138,7 +137,7 @@ func newGPUCounters(r *obs.Registry, numSMs int) *gpuCounters {
 // gpusim.stall.*, elided clock jumps, DRAM channel backlog, sampled
 // per-worker shard-barrier wait (gpusim.barrier.wait_ns summed, raw
 // samples in the gpusim.barrier.wait_sample_ns histogram) and barrier
-// crossings on the parallel paths, and the epoch engine's rounds,
+// crossings, and the epoch engine's rounds (equal to the crossings),
 // parked loads, retire holds, gate stops and per-round clock advance
 // (gpusim.epoch.*).
 func (g *GPU) SetObs(r *obs.Registry) {
@@ -180,7 +179,7 @@ func (c *gpuCounters) flushObs(lo *launchObs, launchCycles uint64) {
 	}
 	c.barrierWaitNs.Add(wait)
 	c.barrierCrossings.Add(lo.barrierCrossings)
-	c.epochRounds.Add(lo.epochRounds)
+	c.epochRounds.Add(lo.barrierCrossings)
 	c.epochParks.Add(parks)
 	c.epochHolds.Add(holds)
 	c.epochGates.Add(gates)

@@ -80,7 +80,7 @@ func TestObsSequential(t *testing.T) {
 	}
 }
 
-// TestObsParallelMatchesSequential runs the shard-parallel path with a
+// TestObsParallelMatchesSequential runs the epoch engine with a
 // registry attached (under -race in CI, this is what proves the per-SM
 // slot ownership is race-free) and requires both the Stats and the
 // telemetry cycle accounting to be identical to the sequential run's.
@@ -102,7 +102,7 @@ func TestObsParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("%s: sequential %d, parallel %d", name, seqC[name], parC[name])
 		}
 	}
-	// The parallel run crossed its phase barrier every cycle; the
+	// The parallel run crossed its barrier once per epoch round; the
 	// sequential one never did.
 	if parC["gpusim.barrier.crossings"] == 0 {
 		t.Fatal("parallel run recorded no barrier crossings")

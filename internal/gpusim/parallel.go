@@ -4,52 +4,12 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"repro/internal/isa"
 )
 
-// The parallel launch path shards SMs across worker goroutines and runs
-// the event loop in per-cycle lockstep with two phases:
-//
-//   - Phase A (parallel): each worker advances its own SMs — warp
-//     selection, functional execution, and every charge that depends
-//     only on SM-local state (ALU/SFU/control pricing, barriers,
-//     parameter/shared-memory costs), accumulated into a per-worker
-//     stats shard. Steps that need the launch-global memory system are
-//     recorded, not priced.
-//   - Phase B (serialized): the coordinator flushes each SM's deferred
-//     device-memory stores and replays the recorded memory steps, both
-//     in SM index order, through the caches, DRAM channels and sharing
-//     tracker, retires finished CTAs (which touches the shared dispatch
-//     cursors), and advances the clock.
-//
-// Functional execution in phase A never writes launch-wide memory: each
-// SM's device stores go into its isa.StoreBuffer (see cta.Env.StoreBuf,
-// wired in fill) and are applied by the coordinator. That matters
-// because Rodinia kernels issue CUDA-benign same-value writes to shared
-// global locations from different CTAs (BFS marking a common neighbor's
-// cost and update flag) — harmless sequentially, but a data race once
-// SMs execute on different goroutines. With stores deferred, phase A is
-// read-only with respect to cross-SM state, and the in-order flush
-// reproduces the sequential memory image. The one visible difference
-// would be a kernel where one SM reads, in the same cycle, an address a
-// lower-numbered SM wrote in that cycle — that is an inter-CTA data race
-// in the kernel itself, which race-free (and benign same-value) Rodinia
-// kernels do not do; the 12-benchmark determinism test pins this.
-//
-// This yields bit-identical results to the sequential loop: within one
-// cycle the sequential order is exec(sm0), price(sm0), exec(sm1),
-// price(sm1), …, and execution never reads pricing state, so reordering
-// to exec(sm0)∥exec(sm1), then price(sm0), price(sm1) observes the same
-// values everywhere. Cross-SM coupling exists only through the memory
-// system, the dispatch cursors and the stats — the first two are phase-B
-// serialized in SM order, and the per-shard stats are commutative sums
-// merged deterministically at the end.
-
-// spinBarrier is a sense-reversing barrier for short lockstep phases.
-// The atomics establish the happens-before edges that make phase-B state
-// visible to the next phase A (and satisfy the race detector).
+// spinBarrier is the epoch engine's sense-reversing worker barrier
+// (epoch.go). The atomics establish the happens-before edges that make
+// the coordinator's replay visible to the next round of SM execution
+// (and satisfy the race detector).
 //
 // When the barrier has more parties than the runtime has processors
 // (GOMAXPROCS), spinning is self-defeating: an oversubscribed worker
@@ -110,192 +70,4 @@ func (b *spinBarrier) wait(local *int32) {
 			runtime.Gosched()
 		}
 	}
-}
-
-// runParallel executes the launch with SMs sharded across workers
-// (worker w owns SMs w, w+workers, w+2·workers, …; the calling
-// goroutine doubles as worker 0 and coordinator). Callers guarantee
-// workers ≥ 2 and ≤ len(ls.sms).
-func (ls *launchState) runParallel(workers int) error {
-	nsm := len(ls.sms)
-	shards := make([]statsSink, workers)
-	for w := range shards {
-		shards[w] = newStatsSink(&ls.g.cfg, len(ls.specs))
-	}
-	steps := make([]issuedStep, nsm)
-	issuedSM := make([]bool, nsm)
-	errSM := make([]error, nsm)
-
-	// Defer device stores per SM; CTAs already placed by the initial fill
-	// need their environments rewired.
-	for _, sm := range ls.sms {
-		sm.storeBuf = &isa.StoreBuffer{}
-		for _, w := range sm.warps {
-			w.cta.cta.Env.StoreBuf = sm.storeBuf
-		}
-	}
-
-	var (
-		bar     = newSpinBarrier(workers)
-		wg      sync.WaitGroup
-		stopped bool  // written by the coordinator inside its exclusive window
-		runErr  error // deadlock: returned, as in run()
-		execErr error // functional fault: re-panicked, as in run()
-	)
-
-	// Telemetry tallies go into per-SM slots of ls.lo: worker wid owns SM
-	// s's slot exactly when it owns the SM, so phase A stays race-free.
-	lo := ls.lo
-	if lo != nil {
-		lo.barrierWaitNs = make([]uint64, workers)
-	}
-
-	// waitA crosses the phase-A barrier, timing this worker's wait — how
-	// long it idles for the slowest shard — on a 1-in-barrierSample
-	// schedule keyed to the worker's own crossing count: extrapolated
-	// into the worker's launchObs slot, raw into the fleet-wide
-	// histogram. Sampling keeps the clock reads (two syscalls-ish each)
-	// off the common per-cycle path; per-worker slots keep it race-free.
-	waitA := func(wid int, crossing uint64, sense *int32) {
-		if lo != nil && crossing%barrierSample == 0 {
-			t0 := time.Now()
-			bar.wait(sense)
-			d := uint64(time.Since(t0))
-			lo.barrierWaitNs[wid] += d * barrierSample
-			lo.waitHist.Observe(d)
-		} else {
-			bar.wait(sense)
-		}
-	}
-
-	phaseA := func(wid int) {
-		for s := wid; s < nsm; s += workers {
-			sm := ls.sms[s]
-			issuedSM[s] = false
-			if sm.issueFreeAt > ls.now {
-				if lo != nil {
-					lo.stallPort[s]++
-				}
-				continue
-			}
-			if lo != nil && sm.skipUntil > ls.now {
-				// execOne would classify this as "no warp"; record the
-				// cheaper skip-bound reason before it gets the chance.
-				lo.stallSkip[s]++
-				continue
-			}
-			ok, err := ls.execOne(sm, shards[wid], &steps[s], ls.now)
-			if err != nil {
-				errSM[s] = err
-				continue
-			}
-			if !ok {
-				if lo != nil {
-					lo.stallWarp[s]++
-				}
-				continue
-			}
-			if !steps[s].mem {
-				ls.settleTiming(sm, &steps[s], ls.now)
-			}
-			if lo != nil {
-				lo.busy[s]++
-			}
-			issuedSM[s] = true
-		}
-	}
-
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			var sense int32
-			for crossing := uint64(0); ; crossing++ {
-				phaseA(wid)
-				waitA(wid, crossing, &sense) // phase A done everywhere
-				bar.wait(&sense)             // coordinator's phase B done
-				if stopped {
-					return
-				}
-			}
-		}(w)
-	}
-
-	var sense int32
-	for {
-		phaseA(0)
-		crossing := uint64(0)
-		if lo != nil {
-			crossing = lo.barrierCrossings
-		}
-		waitA(0, crossing, &sense)
-		if lo != nil {
-			lo.barrierCrossings++
-		}
-		// Exclusive window: only the coordinator touches launch state here.
-		issued := false
-		for s := 0; s < nsm; s++ {
-			ls.sms[s].storeBuf.Flush()
-			if errSM[s] != nil {
-				// Mirror the sequential loop, which panics on the fault of
-				// the lowest-indexed SM before visiting later SMs.
-				execErr = errSM[s]
-				break
-			}
-			if !issuedSM[s] {
-				continue
-			}
-			issued = true
-			sm, step := ls.sms[s], &steps[s]
-			if step.mem {
-				ls.priceShared(sm, step, ls.now)
-				ls.settleTiming(sm, step, ls.now)
-			}
-			ls.maybeRetire(sm, step.w, ls.now)
-		}
-		switch {
-		case execErr != nil:
-			stopped = true
-		case issued:
-			ls.now++
-		default:
-			if next, ok := ls.nextEvent(); !ok {
-				runErr = ls.deadlock()
-				stopped = true
-			} else if next <= ls.now {
-				ls.now++
-			} else {
-				if lo != nil {
-					lo.skipAhead += next - ls.now - 1
-				}
-				ls.now = next
-			}
-		}
-		if ls.pending == 0 {
-			stopped = true
-		}
-		bar.wait(&sense)
-		if stopped {
-			break
-		}
-	}
-	wg.Wait()
-	if execErr != nil {
-		panic(execErr)
-	}
-	if runErr != nil {
-		return runErr
-	}
-
-	// Deterministic merge: shards in worker order. All shard counters are
-	// commutative sums (Cycles, Launches, CTAs and PeakBytesPerCycle stay
-	// zero on shards), so the totals equal the sequential path's.
-	for w := 0; w < workers; w++ {
-		ls.sink.g.Merge(shards[w].g)
-		for i, sp := range ls.specs {
-			sp.kStats.Merge(shards[w].k[i])
-		}
-	}
-	ls.now = ls.dram.drainedBy(ls.now)
-	return nil
 }

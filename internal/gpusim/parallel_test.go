@@ -73,11 +73,14 @@ func runDeterminismWorkload(t *testing.T, cfg Config) (*Stats, []float32) {
 	return g.Stats, out
 }
 
-// TestParallelBitIdenticalToSequential is the shard-merge contract: for
-// any worker count (including counts exceeding NumSMs, which clamp), the
-// parallel path must produce byte-identical stats and identical
-// functional outputs to the sequential path — on the paper baseline
-// (no data caches) and on Fermi (L1 + unified L2).
+// TestParallelBitIdenticalToSequential is the shard-merge contract for
+// ShardWorkers > 1 as callers set it, with EpochCycles left at 0 so the
+// engine runs DefaultEpochCycles: for any worker count (including counts
+// exceeding NumSMs, which clamp), the parallel path must produce
+// byte-identical stats and identical functional outputs to the
+// sequential path — on the paper baseline (no data caches) and on Fermi
+// (L1 + unified L2). TestEpochBitIdenticalToSequential sweeps the other
+// epoch lengths.
 func TestParallelBitIdenticalToSequential(t *testing.T) {
 	for _, base := range []Config{Base8SM(), GTX480(SharedBias)} {
 		seqStats, seqOut := runDeterminismWorkload(t, base)
@@ -122,9 +125,11 @@ func benignWriteKernel() *isa.Kernel {
 	return b.Build("benignwrite")
 }
 
-// TestParallelBenignCrossCTAWrites pins the deferred-store path: CTAs on
-// different shards store the same value to the same global address, which
-// must neither race (go test -race runs this) nor perturb results.
+// TestParallelBenignCrossCTAWrites pins the deferred-store path at the
+// default epoch: CTAs on different shards store the same value to the
+// same global address, which must neither race (go test -race runs this)
+// nor perturb results. TestEpochBenignCrossCTAWrites sweeps the other
+// epoch lengths.
 func TestParallelBenignCrossCTAWrites(t *testing.T) {
 	const grid, block = 32, 128
 	run := func(workers int) (*Stats, []int32) {

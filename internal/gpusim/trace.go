@@ -17,23 +17,20 @@ import (
 //
 // Validity. Replay reproduces full execution bit-identically on
 // gpusim.Stats only when the replay configuration cannot change the
-// functional streams. The explicit predicate (CompatibleWith) requires:
-//
-//   - the trace is replayable at all: only single-kernel launches (the
-//     concurrent-kernel path interleaves dispatch cursors across
-//     kernels), no atomics (an atomic's observed value depends on the
-//     warp schedule, and every timing knob changes the schedule), and
-//     every PC fits the trace encoding;
-//   - the replay does not request the reference interpreter, whose whole
-//     point is to re-execute the kernel.
+// functional streams. The explicit predicate (CompatibleWith) requires
+// the trace to be replayable at all: only single-kernel launches (the
+// concurrent-kernel path interleaves dispatch cursors across kernels),
+// no atomics (an atomic's observed value depends on the warp schedule,
+// and every timing knob changes the schedule), and every PC fits the
+// trace encoding.
 //
 // Any cross-config replay — even one that only changes DRAM channel
 // count — relies on the functional streams being schedule-independent:
 // a latency change reorders warp issue, so a kernel whose loads observe
 // values concurrently stored by other warps in the same launch could
 // record a stream the new schedule would not produce. The simulator
-// already stakes the shard-parallel path's bit-identity on exactly this
-// workload invariant (see parallel.go: cross-CTA communication within a
+// already stakes the epoch engine's bit-identity on exactly this
+// workload invariant (see epoch.go: cross-CTA communication within a
 // launch is absent or benign same-value; synchronization happens between
 // launches through the host), and atomics — the one schedule-visible
 // instruction class — invalidate the trace at capture. Under that
@@ -120,9 +117,6 @@ func ImportRunTrace(cfg Config, launches []*isa.LaunchTrace, invalid string) *Ru
 func (rt *RunTrace) CompatibleWith(cfg *Config, strictPlacement bool) error {
 	if err := rt.Replayable(); err != nil {
 		return err
-	}
-	if cfg.ReferenceInterp {
-		return fmt.Errorf("gpusim: config %s requests the reference interpreter; replay skips execution entirely", cfg.Name)
 	}
 	if !strictPlacement {
 		return nil

@@ -139,17 +139,6 @@ func TestTraceConcurrentLaunchInvalidates(t *testing.T) {
 	}
 }
 
-// TestTraceReferenceInterpRejected asserts replay refuses a config that
-// asks for the reference interpreter, whose purpose is re-execution.
-func TestTraceReferenceInterpRejected(t *testing.T) {
-	rt := captureVecAdd(t, Base8SM(), 512)
-	cfg := Base8SM()
-	cfg.ReferenceInterp = true
-	if err := rt.CompatibleWith(&cfg, false); err == nil || !strings.Contains(err.Error(), "reference interpreter") {
-		t.Fatalf("CompatibleWith = %v, want reference-interpreter rejection", err)
-	}
-}
-
 // TestTraceStrictPlacement exercises the strict tier: cross-SM-count
 // replay passes the relaxed predicate but fails strict, and the capture
 // config itself always passes strict.

@@ -9,9 +9,10 @@ import (
 // This file retains the original per-*Thread warp interpreter, unchanged,
 // as the reference implementation for differential testing: the optimized
 // flat-register interpreter in exec.go must stay bit-identical to it on
-// every kernel, which internal/core's differential tests pin across all
-// twelve Rodinia benchmarks. Build reference warps with MakeCTARef (or
-// gpusim's Config.ReferenceInterp knob).
+// every kernel, which internal/gpusim's reference differential pins
+// across all twelve Rodinia benchmarks. Build reference warps with
+// MakeCTARef (or, in gpusim's tests, the GPU's test-only refInterp
+// hook).
 
 // Thread holds one thread's architectural state in the reference
 // interpreter. The optimized interpreter keeps no per-thread objects; it

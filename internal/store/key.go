@@ -30,7 +30,7 @@ import (
 // of a Stats counter, the warp-trace step encoding — so artifacts written
 // by older code are never decoded by newer code (they become unreachable
 // keys and age out of the LRU).
-const EncodingVersion = 1
+const EncodingVersion = 2
 
 // Key is the content address of one artifact: a SHA-256 over the
 // artifact's canonical identity string (see keyFor).
@@ -42,8 +42,8 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // StatsKey addresses the GPU Stats of one (benchmark, size class, timing
 // configuration) characterization. Host-side execution knobs — Name,
 // ShardWorkers, EpochCycles — are cleared before hashing: they never
-// change Stats (pinned by the determinism tests), so results computed
-// under any of them share one artifact, exactly like the in-memory memo.
+// change Stats (pinned by the suite matrix), so results computed under
+// any of them share one artifact.
 func StatsKey(bench string, size sizes.Class, cfg gpusim.Config) Key {
 	cfg.Name = ""
 	cfg.ShardWorkers = 0

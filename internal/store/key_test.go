@@ -21,13 +21,13 @@ func TestKeyGolden(t *testing.T) {
 		want string
 	}{
 		{"stats base/test", StatsKey("BFS", sizes.Test, gpusim.Base()),
-			"d8707d5531af8f41ae03a1b90b5cfa53f78b6c61228e34448126ce2df64c3f1f"},
+			"acd935dc0cdcedadd243c392b120ffc9505b6807e794ab10d2dea38b5d3b947d"},
 		{"stats gtx280/medium", StatsKey("SRAD", sizes.Medium, gpusim.GTX280()),
-			"b5ec8d09298ec5af015b8778c06ceec9a93afab87421ccda67f25bdaff5d2f0e"},
+			"7e1dbd067c9898f0c498eef948b2bfa1cf0e3041917bb51826968f74cddbd099"},
 		{"trace BFS/test", TraceKey("BFS", sizes.Test),
-			"a1c99c32345e272bf8dd3858885149f11301f631e08b416106b75494ef4ac6b4"},
+			"dbf723a861137a3b46b580ab0c1c63bfd4c8d3fa1362d74cec55fac32b56626f"},
 		{"profiles medium", ProfilesKey([]string{"splash2/barnes", "parsec/blackscholes"}, sizes.Medium),
-			"8e7cbcfddcfc17c7963fa8555426fcc155a51042516e0c8f16b4379a7f201f16"},
+			"267a4f8208312fe4adeb9a6207552ac5c4acf80a06bceec8db660bb2d249c667"},
 	}
 	for _, g := range golden {
 		if got := g.key.String(); got != g.want {
