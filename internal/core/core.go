@@ -244,8 +244,8 @@ func CaptureGPU(b *kernels.Benchmark, cfg gpusim.Config, check bool) (*gpusim.St
 
 // CaptureGPUAt is CharacterizeGPUAt with trace recording: alongside the
 // statistics it returns a functional trace of every kernel launch the
-// benchmark issued, suitable for ReplayGPU under compatible
-// configurations (gpusim.RunTrace.CompatibleWith). Recording does not
+// benchmark issued, suitable for ReplayGPU under any configuration when
+// it is replayable (gpusim.RunTrace.Replayable). Recording does not
 // perturb the statistics.
 func CaptureGPUAt(b *kernels.Benchmark, size sizes.Class, cfg gpusim.Config, check bool) (*gpusim.Stats, *gpusim.RunTrace, error) {
 	return CaptureGPUObs(b, size, cfg, check, nil)

@@ -7,7 +7,7 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -34,12 +34,14 @@ type Experiment struct {
 	Run   func(ctx *Context) (*Result, error)
 }
 
-// Context caches expensive characterizations so related experiments
-// (e.g. Figures 1-3 share the 28-SM run) execute each simulation once.
-// It is safe for concurrent use: lookups are memoized with singleflight
-// semantics, so when several experiments race for the same
-// characterization exactly one executes it and the rest wait for its
-// result.
+// Context resolves the characterizations experiments share, so related
+// experiments (e.g. Figures 1-3 share the 28-SM run) execute each one
+// once. Build it with NewContext. It is safe for concurrent use: GPU
+// Stats, functional traces and CPU-profile sweeps each go through one
+// resolver (memory, then Store, then compute), whose callers of one key
+// share one in-flight call and whose memory tier is bounded and keeps
+// successes only — a failed or panicked computation is retried by the
+// next call.
 type Context struct {
 	// Check validates every GPU benchmark against its CPU reference
 	// before trusting its statistics.
@@ -47,9 +49,8 @@ type Context struct {
 
 	// Size is the problem-size class experiments characterize at.
 	// NewContext sets the default (medium) class, which reproduces the
-	// paper's figures; note the Class zero value is the test class, so
-	// a hand-built zero Context characterizes at test. The scaling
-	// experiment sweeps every class regardless of this setting.
+	// paper's figures; note the Class zero value is the test class. The
+	// scaling experiment sweeps every class regardless of this setting.
 	Size sizes.Class
 
 	// ScalingClasses restricts the scaling experiment's sweep
@@ -66,55 +67,77 @@ type Context struct {
 	// goroutines inside each simulation, on the epoch-parallel engine at
 	// its default epoch length. Results are bit-identical whatever the
 	// value — it is a host-side execution knob, not a device parameter —
-	// so memoization ignores it, just as it ignores configuration names.
+	// so results are keyed without it, just as without configuration
+	// names (store.StatsConfig).
 	ShardWorkers int
 
 	// Replay enables trace-once/replay-many characterization: the first
-	// run of a benchmark records a functional trace, and later runs under
-	// other configurations drive the timing model from it instead of
-	// re-executing the kernels (bit-identical Stats; replays also skip
-	// input generation and validation). Incompatible configurations fall
-	// back to full execution automatically (gpusim.RunTrace.CompatibleWith).
+	// run of a benchmark instance records a functional trace, and later
+	// runs under other configurations drive the timing model from it
+	// instead of re-executing the kernels (bit-identical Stats; replays
+	// also skip input generation and validation). A trace that cannot
+	// be replayed (gpusim.RunTrace.Replayable) is kept too, and every
+	// other configuration of its instance runs in full.
 	Replay bool
 
-	// StrictPlacement restricts replay to configurations with the
-	// capture's exact CTA→SM placement — defense in depth for workloads
-	// whose launch-synchronization discipline is unvetted; the Rodinia
-	// suite replays bit-identically without it (pinned by the
-	// internal/core differential tests).
-	StrictPlacement bool
-
-	// TraceCacheBytes caps the trace cache (0 means
-	// DefaultTraceCacheBytes). Least-recently-used traces are evicted
-	// once the cap is exceeded.
-	TraceCacheBytes int64
-
-	// Store, when non-nil, is the persistent second tier below the
-	// in-memory caches: every artifact the context computes — GPU Stats,
-	// warp traces, the CPU-profile sweep — is looked up on disk before
-	// being computed and spilled to disk after (memory hit → disk hit →
-	// compute). The existing singleflight still applies, so concurrent
-	// misses on one key hit the disk and the simulator exactly once.
-	// Disk-tier decisions are published as "trace" events alongside the
-	// trace cache's; store.{hit,miss,evict,bytes} land on the store's
+	// Store, when non-nil, is the persistent tier below memory: every
+	// artifact the context computes — GPU Stats, warp traces, the
+	// CPU-profile sweep — is looked up on disk before being computed and
+	// spilled to disk after. Disk-tier decisions are published as
+	// "trace" events; store.{hit,miss,evict,bytes} land on the store's
 	// registry. A corrupt or stale blob is discarded and recomputed,
 	// never an error.
 	Store *store.Store
 
 	// Obs, when non-nil, is the metrics registry the whole run reports
-	// through: memoized GPU characterizations (exp.gpu.*), the trace
-	// cache (exp.trace.*), the CPU-profile pool (cpu.*), the concurrent
+	// through: executed GPU characterizations (exp.gpu.*), the trace
+	// tier (exp.trace.*), the CPU-profile pool (cpu.*), the concurrent
 	// runner (runner.*) and the simulators underneath. Trace decisions —
-	// capture, replay, fallback, eviction — are published as "trace"
-	// events on it; subscribe with Obs.OnEvent("trace", ...) (this is how
-	// cmd/experiments implements -tracelog).
+	// capture, replay, fallback, eviction, and the disk tier's — are
+	// published as "trace" events on it; subscribe with
+	// Obs.OnEvent("trace", ...) (this is how cmd/experiments implements
+	// -tracelog).
 	Obs *obs.Registry
 
-	mu        sync.Mutex
-	gpuCalls  map[gpuKey]*gpuCall
-	profCalls map[sizes.Class]*profilesCall
-	gates     map[traceID]*sync.Mutex
-	traces    *traceCache
+	stats    resolver[gpuKey, *gpusim.Stats]
+	traces   resolver[traceID, *gpusim.RunTrace]
+	profiles resolver[sizes.Class, []*core.CPUProfile]
+	counts   struct{ captures, replays, fallbacks, evictions, uncacheable atomic.Uint64 }
+}
+
+// The Stats and profile tiers are bounded by entry count. A full
+// cmd/experiments pass characterizes about 160 distinct (benchmark,
+// size, configuration) keys and at most one profile sweep per size
+// class (there are three), and simbench's serve plan asks for 157
+// result identities, so neither ever evicts; a long-lived simd asked
+// for ever more configurations keeps the most recently used.
+const (
+	statsEntries   = 1024
+	profileEntries = 4
+)
+
+// DefaultTraceCacheBytes is the trace tier's byte bound. The full
+// 12-benchmark Rodinia suite records about 160 MB of traces (one trace
+// per benchmark instance serves every configuration of a sweep), so
+// 1 GiB holds the suite plus the Table III program variants with room to
+// spare while keeping a large multi-suite sweep from growing without
+// bound.
+const DefaultTraceCacheBytes = 1 << 30
+
+// TraceCounters is a snapshot of the trace tier's decision counters.
+// Captures counts functional passes that recorded a trace; Replays
+// counts characterizations served from a trace; Fallbacks counts
+// characterizations that ran in full because their instance's trace
+// cannot be replayed; Evictions counts traces dropped by the LRU to
+// respect the byte bound, and Uncacheable counts traces too large to
+// keep at all. Bytes is the current occupancy.
+type TraceCounters struct {
+	Captures    uint64
+	Replays     uint64
+	Fallbacks   uint64
+	Evictions   uint64
+	Uncacheable uint64
+	Bytes       int64
 }
 
 // gpuKey memoizes characterizations by configuration value, not name:
@@ -141,19 +164,6 @@ type traceID struct {
 
 func (id traceID) String() string { return id.bench + "@" + id.size.String() }
 
-// gpuCall is one in-flight or completed GPU characterization.
-type gpuCall struct {
-	done  chan struct{}
-	stats *gpusim.Stats
-	err   error
-}
-
-// profilesCall is the in-flight or completed CPU-profile sweep.
-type profilesCall struct {
-	done     chan struct{}
-	profiles []*core.CPUProfile
-}
-
 // The characterization entry points are swappable so tests can count and
 // fake executions.
 var (
@@ -165,13 +175,17 @@ var (
 // NewContext returns an empty cache with validation and trace replay
 // enabled, characterizing at the default (medium) size class.
 func NewContext() *Context {
-	return &Context{Check: true, Replay: true, Size: sizes.Default, gpuCalls: make(map[gpuKey]*gpuCall)}
+	c := &Context{Check: true, Replay: true, Size: sizes.Default}
+	c.stats.limit = statsEntries
+	c.traces.limit = DefaultTraceCacheBytes
+	c.traces.cost = (*gpusim.RunTrace).Bytes
+	c.traces.kept = c.traceKept
+	c.profiles.limit = profileEntries
+	return c
 }
 
 // GPU characterizes a benchmark on a configuration at the Context's size
-// class, memoized. Errors are cached too: a characterization that fails
-// once fails the same way for every experiment that needs it, without
-// re-running the simulation.
+// class, memoized.
 func (c *Context) GPU(b *kernels.Benchmark, cfg gpusim.Config) (*gpusim.Stats, error) {
 	return c.GPUAt(b, c.Size, cfg)
 }
@@ -182,177 +196,132 @@ func (c *Context) GPUAt(b *kernels.Benchmark, size sizes.Class, cfg gpusim.Confi
 	if c.ShardWorkers > 0 {
 		cfg.ShardWorkers = c.ShardWorkers
 	}
-	key := gpuKey{bench: b.Abbrev, size: size, cfg: cfg}
-	key.cfg.Name = ""
-	// The worker count doesn't affect Stats (bit-identity is pinned by
-	// internal/core's suite matrix), so results memoize across it.
-	key.cfg.ShardWorkers = 0
-	c.mu.Lock()
-	if c.gpuCalls == nil {
-		c.gpuCalls = make(map[gpuKey]*gpuCall)
-	}
-	if call, ok := c.gpuCalls[key]; ok {
-		c.mu.Unlock()
-		<-call.done
-		return call.stats, call.err
-	}
-	call := &gpuCall{done: make(chan struct{})}
-	c.gpuCalls[key] = call
-	c.mu.Unlock()
-
-	call.stats, call.err = c.gpuTiers(b, size, cfg, key)
-	close(call.done)
-	return call.stats, call.err
-}
-
-// gpuTiers resolves one memo miss through the remaining tiers: the
-// persistent store (when attached), then computation. key.cfg is the
-// normalized configuration — host-side knobs cleared — which is exactly
-// the identity the disk artifact is addressed by.
-func (c *Context) gpuTiers(b *kernels.Benchmark, size sizes.Class, cfg gpusim.Config, key gpuKey) (*gpusim.Stats, error) {
+	key := gpuKey{bench: b.Abbrev, size: size, cfg: store.StatsConfig(cfg)}
 	id := traceID{bench: b.Abbrev, size: size}
-	var skey store.Key
+	src := source[*gpusim.Stats]{compute: func() (*gpusim.Stats, error) { return c.run(b, size, cfg) }}
 	if c.Store != nil {
-		skey = store.StatsKey(b.Abbrev, size, key.cfg)
-		if st, ok := c.Store.LoadStats(skey); ok {
-			c.tracef("diskhit  %s on %s (stats)", id, cfg.Name)
-			return st, nil
+		var skey store.Key
+		src.load = func() (*gpusim.Stats, bool) {
+			skey = store.StatsKey(b.Abbrev, size, key.cfg)
+			st, ok := c.Store.LoadStats(skey)
+			if ok {
+				c.tracef("diskhit  %s on %s (stats)", id, cfg.Name)
+			}
+			return st, ok
+		}
+		src.save = func(st *gpusim.Stats) {
+			if err := c.Store.SaveStats(skey, st); err != nil {
+				c.tracef("diskerr  %s on %s: %v", id, cfg.Name, err)
+			} else {
+				c.tracef("diskput  %s on %s (stats)", id, cfg.Name)
+			}
 		}
 	}
+	return c.stats.get(key, src)
+}
+
+// run executes one characterization and reports it: memory and disk
+// hits never get here, so exp.gpu.runs counts simulations, not requests.
+func (c *Context) run(b *kernels.Benchmark, size sizes.Class, cfg gpusim.Config) (*gpusim.Stats, error) {
 	var t0 time.Time
 	if c.Obs != nil {
 		t0 = time.Now()
 	}
 	st, err := c.characterize(b, size, cfg)
 	if c.Obs != nil && err == nil {
-		// Only executed characterizations land here — memo and disk hits
-		// above return without re-reporting, so exp.gpu.runs counts
-		// simulations, not requests.
-		c.Obs.Counter(obs.Name("exp.gpu.wall_ns", "bench", id.String())).Add(uint64(time.Since(t0)))
-		c.Obs.Counter(obs.Name("exp.gpu.cycles", "bench", id.String())).Add(st.Cycles)
-		c.Obs.Counter(obs.Name("exp.gpu.runs", "bench", id.String())).Inc()
-	}
-	if err == nil && c.Store != nil {
-		if perr := c.Store.SaveStats(skey, st); perr != nil {
-			c.tracef("diskerr  %s on %s: %v", id, cfg.Name, perr)
-		} else {
-			c.tracef("diskput  %s on %s (stats)", id, cfg.Name)
-		}
+		id := traceID{bench: b.Abbrev, size: size}.String()
+		c.Obs.Counter(obs.Name("exp.gpu.wall_ns", "bench", id)).Add(uint64(time.Since(t0)))
+		c.Obs.Counter(obs.Name("exp.gpu.cycles", "bench", id)).Add(st.Cycles)
+		c.Obs.Counter(obs.Name("exp.gpu.runs", "bench", id)).Inc()
 	}
 	return st, err
 }
 
 // characterize runs one (benchmark, size, configuration)
-// characterization, through the trace cache when replay is enabled. A
-// per-instance gate serializes capture against concurrent requests for
-// the same benchmark at the same size, so a sweep racing several
-// configurations of one instance records its functional pass exactly
-// once and replays the rest.
+// characterization, through the trace tier when replay is enabled. The
+// instance's capture is the trace tier's computation: it serves the
+// configuration that triggered it, and every caller that waited on it
+// replays the trace.
 func (c *Context) characterize(b *kernels.Benchmark, size sizes.Class, cfg gpusim.Config) (*gpusim.Stats, error) {
 	if !c.Replay {
 		return characterizeGPU(b, size, cfg, c.Check, c.Obs)
 	}
 	id := traceID{bench: b.Abbrev, size: size}
-	gate, traces := c.traceState(id)
-	gate.Lock()
-	rt, fallback := traces.lookup(id, &cfg, c.StrictPlacement)
-	if rt == nil && fallback == "" && c.Store != nil {
-		// Disk tier: a trace captured by an earlier process (or an earlier
-		// context on this store) re-enters the in-memory cache and serves
-		// this sweep without a functional pass. Only consulted when the
-		// memory cache has no entry at all for the instance — an
-		// incompatible memory entry means the disk holds the same trace or
-		// an older one.
-		rt, fallback = c.loadDiskTrace(id, &cfg, traces)
-	}
-	if rt != nil {
-		gate.Unlock() // replays only read the trace; they need no gate
-		c.tracef("replay   %s on %s (%d launches)", id, cfg.Name, rt.NumLaunches())
-		return replayGPU(b, cfg, rt, c.Obs)
-	}
-	defer gate.Unlock()
-	traces.noteCapture(fallback != "")
-	if fallback != "" {
-		c.tracef("fallback %s on %s: %s", id, cfg.Name, fallback)
-	} else {
+	var captured *gpusim.Stats
+	src := source[*gpusim.RunTrace]{compute: func() (*gpusim.RunTrace, error) {
+		c.bump(&c.counts.captures, "exp.trace.captures")
 		c.tracef("capture  %s on %s", id, cfg.Name)
-	}
-	st, fresh, err := captureGPU(b, size, cfg, c.Check, c.Obs)
-	if err != nil {
-		return nil, err
-	}
-	evicted, cached := traces.insert(id, fresh)
-	for _, victim := range evicted {
-		c.tracef("evict    %s (cache over %d bytes)", victim, traces.capBytes)
-	}
-	if !cached {
-		c.tracef("uncached %s: trace is %d bytes, cap %d", id, fresh.Bytes(), traces.capBytes)
-	}
-	if c.Store != nil && fresh.Replayable() == nil {
-		tkey := store.TraceKey(id.bench, id.size)
-		if perr := c.Store.SaveTrace(tkey, fresh); perr != nil {
-			c.tracef("diskerr  %s: %v", id, perr)
-		} else {
-			c.tracef("diskput  %s trace (%d launches, %d bytes)", id, fresh.NumLaunches(), fresh.Bytes())
+		st, rt, err := captureGPU(b, size, cfg, c.Check, c.Obs)
+		captured = st
+		return rt, err
+	}}
+	if c.Store != nil {
+		src.load = func() (*gpusim.RunTrace, bool) {
+			rt, ok := c.Store.LoadTrace(store.TraceKey(id.bench, id.size))
+			if ok {
+				c.tracef("diskload %s (%d launches, %d bytes)", id, rt.NumLaunches(), rt.Bytes())
+			}
+			return rt, ok
+		}
+		src.save = func(rt *gpusim.RunTrace) {
+			if rt.Replayable() != nil {
+				return
+			}
+			if err := c.Store.SaveTrace(store.TraceKey(id.bench, id.size), rt); err != nil {
+				c.tracef("diskerr  %s: %v", id, err)
+			} else {
+				c.tracef("diskput  %s trace (%d launches, %d bytes)", id, rt.NumLaunches(), rt.Bytes())
+			}
 		}
 	}
-	return st, nil
+	rt, err := c.traces.get(id, src)
+	switch {
+	case err != nil:
+		return nil, err
+	case captured != nil:
+		return captured, nil
+	}
+	if err := rt.Replayable(); err != nil {
+		c.bump(&c.counts.fallbacks, "exp.trace.fallbacks")
+		c.tracef("fallback %s on %s: %s", id, cfg.Name, err)
+		return characterizeGPU(b, size, cfg, c.Check, c.Obs)
+	}
+	c.bump(&c.counts.replays, "exp.trace.replays")
+	c.tracef("replay   %s on %s (%d launches)", id, cfg.Name, rt.NumLaunches())
+	return replayGPU(b, cfg, rt, c.Obs)
 }
 
-// loadDiskTrace pulls the instance's trace from the persistent store
-// into the in-memory cache (the caller holds the instance's capture
-// gate) and resolves this request against it. A trace too large for the
-// memory cache still serves the current request directly when
-// compatible.
-func (c *Context) loadDiskTrace(id traceID, cfg *gpusim.Config, traces *traceCache) (*gpusim.RunTrace, string) {
-	drt, ok := c.Store.LoadTrace(store.TraceKey(id.bench, id.size))
-	if !ok {
-		return nil, ""
-	}
-	c.tracef("diskload %s (%d launches, %d bytes)", id, drt.NumLaunches(), drt.Bytes())
-	evicted, cached := traces.insert(id, drt)
+// traceKept reports what keeping a trace did to the trace tier.
+func (c *Context) traceKept(id traceID, rt *gpusim.RunTrace, evicted []traceID, ok bool) {
 	for _, victim := range evicted {
-		c.tracef("evict    %s (cache over %d bytes)", victim, traces.capBytes)
+		c.bump(&c.counts.evictions, "exp.trace.evictions")
+		c.tracef("evict    %s (cache over %d bytes)", victim, c.traces.limit)
 	}
-	if cached {
-		return traces.lookup(id, cfg, c.StrictPlacement)
+	if !ok {
+		c.bump(&c.counts.uncacheable, "exp.trace.uncacheable")
+		c.tracef("uncached %s: trace is %d bytes, cap %d", id, rt.Bytes(), c.traces.limit)
 	}
-	c.tracef("uncached %s: trace is %d bytes, cap %d", id, drt.Bytes(), traces.capBytes)
-	if err := drt.CompatibleWith(cfg, c.StrictPlacement); err != nil {
-		return nil, err.Error()
-	}
-	return drt, ""
+	c.Obs.Gauge("exp.trace.cache_bytes").Set(c.traces.size())
 }
 
-// traceState returns the instance's capture gate and the trace cache,
-// creating them on first use.
-func (c *Context) traceState(id traceID) (*sync.Mutex, *traceCache) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.gates == nil {
-		c.gates = make(map[traceID]*sync.Mutex)
-	}
-	if c.traces == nil {
-		c.traces = newTraceCache(c.TraceCacheBytes, c.Obs)
-	}
-	gate := c.gates[id]
-	if gate == nil {
-		gate = &sync.Mutex{}
-		c.gates[id] = gate
-	}
-	return gate, c.traces
+// bump counts one trace decision, mirrored on the registry so
+// -debug-addr shows them mid-run.
+func (c *Context) bump(n *atomic.Uint64, name string) {
+	n.Add(1)
+	c.Obs.Counter(name).Inc()
 }
 
-// TraceCounters snapshots the trace cache's capture/replay/fallback
+// TraceCounters snapshots the trace tier's capture/replay/fallback
 // decision counters (zero values when replay never ran).
 func (c *Context) TraceCounters() TraceCounters {
-	c.mu.Lock()
-	traces := c.traces
-	c.mu.Unlock()
-	if traces == nil {
-		return TraceCounters{}
+	return TraceCounters{
+		Captures:    c.counts.captures.Load(),
+		Replays:     c.counts.replays.Load(),
+		Fallbacks:   c.counts.fallbacks.Load(),
+		Evictions:   c.counts.evictions.Load(),
+		Uncacheable: c.counts.uncacheable.Load(),
+		Bytes:       c.traces.size(),
 	}
-	return traces.snapshot()
 }
 
 func (c *Context) tracef(format string, args ...any) {
@@ -360,58 +329,47 @@ func (c *Context) tracef(format string, args ...any) {
 }
 
 // Profiles characterizes every CPU workload once at the Context's size
-// class, memoized with the same singleflight semantics as GPU: however
-// many Figure 6-12 experiments race here, exactly one profiling pass runs
-// (fanned across Workers goroutines) and the rest wait for its result.
+// class, memoized like GPU: however many Figure 6-12 experiments race
+// here, exactly one profiling pass runs (fanned across Workers
+// goroutines) and the rest wait for its result.
 func (c *Context) Profiles() []*core.CPUProfile {
 	return c.ProfilesAt(c.Size)
 }
 
 // ProfilesAt is Profiles at an explicit size class; each class is
-// memoized independently.
+// memoized independently. The sweep is one artifact on disk: profile
+// order is part of it. A panic in the profiling pass reaches every
+// caller waiting on it.
 func (c *Context) ProfilesAt(size sizes.Class) []*core.CPUProfile {
-	c.mu.Lock()
-	if c.profCalls == nil {
-		c.profCalls = make(map[sizes.Class]*profilesCall)
-	}
-	call := c.profCalls[size]
-	if call == nil {
-		call = &profilesCall{done: make(chan struct{})}
-		c.profCalls[size] = call
-		c.mu.Unlock()
-		call.profiles = c.computeProfiles(size)
-		close(call.done)
-		return call.profiles
-	}
-	c.mu.Unlock()
-	<-call.done
-	return call.profiles
-}
-
-// computeProfiles resolves one CPU-profile memo miss: persistent store
-// first (the sweep is one artifact — profile order is part of it), then
-// the profiling pass, spilled to disk on the way out.
-func (c *Context) computeProfiles(size sizes.Class) []*core.CPUProfile {
-	ws := workloads.All()
-	var pkey store.Key
+	src := source[[]*core.CPUProfile]{compute: func() ([]*core.CPUProfile, error) {
+		return core.CharacterizeCPUAllObs(workloads.All(), size, c.Workers, c.Obs), nil
+	}}
 	if c.Store != nil {
-		names := make([]string, len(ws))
-		for i, w := range ws {
-			names[i] = w.Suite + "/" + w.Name
+		var pkey store.Key
+		src.load = func() ([]*core.CPUProfile, bool) {
+			ws := workloads.All()
+			names := make([]string, len(ws))
+			for i, w := range ws {
+				names[i] = w.Suite + "/" + w.Name
+			}
+			pkey = store.ProfilesKey(names, size)
+			ps, ok := c.Store.LoadProfiles(pkey)
+			if ok {
+				c.tracef("diskhit  cpu-profiles@%s (%d workloads)", size, len(ps))
+			}
+			return ps, ok
 		}
-		pkey = store.ProfilesKey(names, size)
-		if ps, ok := c.Store.LoadProfiles(pkey); ok {
-			c.tracef("diskhit  cpu-profiles@%s (%d workloads)", size, len(ps))
-			return ps
+		src.save = func(ps []*core.CPUProfile) {
+			if err := c.Store.SaveProfiles(pkey, ps); err != nil {
+				c.tracef("diskerr  cpu-profiles@%s: %v", size, err)
+			} else {
+				c.tracef("diskput  cpu-profiles@%s (%d workloads)", size, len(ps))
+			}
 		}
 	}
-	ps := core.CharacterizeCPUAllObs(ws, size, c.Workers, c.Obs)
-	if c.Store != nil {
-		if perr := c.Store.SaveProfiles(pkey, ps); perr != nil {
-			c.tracef("diskerr  cpu-profiles@%s: %v", size, perr)
-		} else {
-			c.tracef("diskput  cpu-profiles@%s (%d workloads)", size, len(ps))
-		}
+	ps, err := c.profiles.get(size, src)
+	if err != nil {
+		panic(err) // the profiling pass returns no errors, so this is its panic
 	}
 	return ps
 }

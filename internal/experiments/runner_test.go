@@ -57,11 +57,16 @@ func TestContextSingleflight(t *testing.T) {
 	}
 }
 
-func TestContextSingleflightCachesErrors(t *testing.T) {
+// TestContextSingleflightSharesErrors pins that a failure is shared, not
+// memoized: concurrent callers of a failing key see one run, and the
+// next call runs again.
+func TestContextSingleflightSharesErrors(t *testing.T) {
 	var runs atomic.Int32
+	release := make(chan struct{})
 	orig := characterizeGPU
 	characterizeGPU = func(b *kernels.Benchmark, size sizes.Class, cfg gpusim.Config, check bool, r *obs.Registry) (*gpusim.Stats, error) {
 		runs.Add(1)
+		<-release
 		return nil, fmt.Errorf("boom")
 	}
 	defer func() { characterizeGPU = orig }()
@@ -69,13 +74,141 @@ func TestContextSingleflightCachesErrors(t *testing.T) {
 	ctx := NewContext()
 	ctx.Replay = false // pin the stubbed non-replay path
 	b := kernels.All()[0]
-	for i := 0; i < 3; i++ {
-		if _, err := ctx.GPU(b, gpusim.Base8SM()); err == nil {
-			t.Fatal("expected cached error")
+	const callers = 16
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := ctx.GPU(b, gpusim.Base8SM()); err == nil {
+				t.Error("expected the shared error")
+			}
+		}()
+	}
+	waitParked(t, callers)
+	close(release)
+	wg.Wait()
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("failing characterization ran %d times for %d concurrent callers, want 1", got, callers)
+	}
+	if _, err := ctx.GPU(b, gpusim.Base8SM()); err == nil {
+		t.Fatal("expected the error again")
+	}
+	if got := runs.Load(); got != 2 {
+		t.Fatalf("failing characterization ran %d times after a retry, want 2", got)
+	}
+}
+
+// TestContextPanicReleasesWaiters pins that a panicking characterization
+// fails every caller waiting on its key instead of blocking them for
+// good, and leaves nothing cached: the next caller recomputes.
+func TestContextPanicReleasesWaiters(t *testing.T) {
+	var runs atomic.Int32
+	release := make(chan struct{})
+	orig := characterizeGPU
+	characterizeGPU = func(b *kernels.Benchmark, size sizes.Class, cfg gpusim.Config, check bool, r *obs.Registry) (*gpusim.Stats, error) {
+		if runs.Add(1) == 1 {
+			<-release
+			panic("kaboom")
+		}
+		return gpusim.NewStats(cfg.Name), nil
+	}
+	defer func() { characterizeGPU = orig }()
+
+	ctx := NewContext()
+	ctx.Replay = false // pin the stubbed non-replay path
+	b := kernels.All()[0]
+	cfg := gpusim.Base8SM()
+	// call runs ctx.GPU on its own goroutine; a panic counts as an error.
+	call := func() <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			defer func() {
+				if p := recover(); p != nil {
+					done <- fmt.Errorf("panic: %v", p)
+				}
+			}()
+			_, err := ctx.GPU(b, cfg)
+			done <- err
+		}()
+		return done
+	}
+	wait := func(who string, done <-chan error) error {
+		t.Helper()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s still blocked after 2s", who)
+			return nil
 		}
 	}
-	if got := runs.Load(); got != 1 {
-		t.Fatalf("failing characterization ran %d times, want 1", got)
+
+	first := call()
+	waiter := call()
+	waitParked(t, 2)
+	close(release)
+	if err := wait("the panicking caller", first); err == nil {
+		t.Fatal("the panicking caller succeeded")
+	}
+	if err := wait("a caller waiting on the panicking call", waiter); err == nil {
+		t.Fatal("a caller waiting on the panicking call succeeded")
+	}
+	if err := wait("a later caller", call()); err != nil {
+		t.Fatalf("a later caller: %v", err)
+	}
+	if got := runs.Load(); got != 2 {
+		t.Fatalf("characterization ran %d times, want 2 (the panic and one recomputation)", got)
+	}
+}
+
+// TestMemoHitAllocs pins that a memory hit allocates nothing: it is the
+// path nearly every simd request takes, and the store key it must not
+// compute costs 71 allocations.
+func TestMemoHitAllocs(t *testing.T) {
+	orig := characterizeGPU
+	characterizeGPU = func(b *kernels.Benchmark, size sizes.Class, cfg gpusim.Config, check bool, r *obs.Registry) (*gpusim.Stats, error) {
+		return gpusim.NewStats(cfg.Name), nil
+	}
+	defer func() { characterizeGPU = orig }()
+
+	ctx, _ := storeContext(t, t.TempDir())
+	ctx.ShardWorkers = 2
+	b := kernels.All()[0]
+	cfg := gpusim.Base8SM()
+	if _, err := ctx.GPU(b, cfg); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ctx.GPU(b, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a memory hit allocates %.1f times, want 0", allocs)
+	}
+}
+
+// waitParked blocks until n goroutines are parked on a channel receive
+// inside Context.GPUAt: the caller running a stubbed characterization
+// and those waiting on its in-flight call.
+func waitParked(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		parked := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "[chan receive") && strings.Contains(g, "experiments.(*Context).GPUAt(") {
+				parked++
+			}
+		}
+		if parked >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d callers parked after 10s", parked, n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

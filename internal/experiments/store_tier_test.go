@@ -86,7 +86,7 @@ func TestStoreTierWarmStartsStats(t *testing.T) {
 // TestStoreTierNormalizesHostKnobs pins that ShardWorkers/EpochCycles
 // and the config name are erased from the disk identity exactly as they
 // are from the in-memory memo: a result computed sequentially warm-starts
-// a sharded run.
+// a sharded run, and another epoch length is then a memory hit.
 func TestStoreTierNormalizesHostKnobs(t *testing.T) {
 	var runs atomic.Int32
 	orig := characterizeGPU
@@ -104,7 +104,7 @@ func TestStoreTierNormalizesHostKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm, _ := storeContext(t, dir)
+	warm, st := storeContext(t, dir)
 	warm.ShardWorkers = 4
 	renamed := gpusim.Base()
 	renamed.Name = "renamed-but-identical"
@@ -114,6 +114,13 @@ func TestStoreTierNormalizesHostKnobs(t *testing.T) {
 	}
 	if runs.Load() != 1 {
 		t.Fatalf("host knobs split the disk key: %d runs, want 1", runs.Load())
+	}
+	renamed.EpochCycles = 8
+	if _, err := warm.GPU(b, renamed); err != nil {
+		t.Fatal(err)
+	}
+	if c := st.Counters(); runs.Load() != 1 || c.Hits != 1 {
+		t.Fatalf("host knobs split the memory key: %d runs, %d store hits; want 1 and 1", runs.Load(), c.Hits)
 	}
 }
 

@@ -1,11 +1,16 @@
 package experiments
 
 import (
+	"errors"
+	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/gpusim"
 	"repro/internal/kernels"
+	"repro/internal/obs"
 	"repro/internal/sizes"
 )
 
@@ -30,33 +35,60 @@ func captureSmall(t *testing.T, abbrev string) *gpusim.RunTrace {
 	return nil
 }
 
+// traceTier returns a new Context whose trace tier is bounded at limit
+// bytes, and the "trace" event lines the tier prints.
+func traceTier(limit int64) (*Context, *[]string) {
+	ctx := NewContext()
+	ctx.traces.limit = limit
+	ctx.Obs = obs.New()
+	lines := new([]string)
+	ctx.Obs.OnEvent("trace", func(format string, args ...any) {
+		*lines = append(*lines, fmt.Sprintf(format, args...))
+	})
+	return ctx, lines
+}
+
+// insert resolves id through the context's trace tier as a capture of rt.
+func insert(ctx *Context, id traceID, rt *gpusim.RunTrace) {
+	ctx.traces.get(id, source[*gpusim.RunTrace]{compute: func() (*gpusim.RunTrace, error) { return rt, nil }})
+}
+
+// cached reports whether id is a memory hit in the context's trace tier.
+// A miss computes an error, which leaves nothing behind.
+func cached(ctx *Context, id traceID) bool {
+	_, err := ctx.traces.get(id, source[*gpusim.RunTrace]{compute: func() (*gpusim.RunTrace, error) {
+		return nil, errors.New("miss")
+	}})
+	return err == nil
+}
+
 func TestTraceCacheLRUEviction(t *testing.T) {
 	rt := captureSmall(t, "BP")
 	size := rt.Bytes()
 	// Cap that holds exactly two copies.
-	tc := newTraceCache(2*size, nil)
+	ctx, lines := traceTier(2 * size)
 
-	if evicted, cached := tc.insert(tid("A"), rt); !cached || len(evicted) != 0 {
-		t.Fatalf("first insert: cached=%v evicted=%v", cached, evicted)
-	}
-	if evicted, cached := tc.insert(tid("B"), rt); !cached || len(evicted) != 0 {
-		t.Fatalf("second insert: cached=%v evicted=%v", cached, evicted)
+	insert(ctx, tid("A"), rt)
+	insert(ctx, tid("B"), rt)
+	if len(*lines) != 0 {
+		t.Fatalf("first two inserts logged %q", *lines)
 	}
 	// Touch A so B becomes the LRU victim.
-	if got, _ := tc.lookup(tid("A"), &gpusim.Config{}, false); got == nil {
+	if !cached(ctx, tid("A")) {
 		t.Fatal("lookup A missed")
 	}
-	evicted, cached := tc.insert(tid("C"), rt)
-	if !cached || len(evicted) != 1 || evicted[0] != tid("B").String() {
-		t.Fatalf("third insert: cached=%v evicted=%v, want [%s]", cached, evicted, tid("B"))
+	insert(ctx, tid("C"), rt)
+	want := fmt.Sprintf("evict    %s (cache over %d bytes)", tid("B"), 2*size)
+	if len(*lines) != 1 || (*lines)[0] != want {
+		t.Fatalf("third insert logged %q, want [%q]", *lines, want)
 	}
-	if got, _ := tc.lookup(tid("B"), &gpusim.Config{}, false); got != nil {
+	if cached(ctx, tid("B")) {
 		t.Fatal("B still cached after eviction")
 	}
-	if got, _ := tc.lookup(tid("A"), &gpusim.Config{}, false); got == nil {
+	if !cached(ctx, tid("A")) {
 		t.Fatal("A evicted although recently used")
 	}
-	c := tc.snapshot()
+	c := ctx.TraceCounters()
 	if c.Evictions != 1 {
 		t.Fatalf("Evictions = %d, want 1", c.Evictions)
 	}
@@ -67,72 +99,86 @@ func TestTraceCacheLRUEviction(t *testing.T) {
 
 func TestTraceCacheUncacheable(t *testing.T) {
 	rt := captureSmall(t, "BP")
-	tc := newTraceCache(rt.Bytes()-1, nil) // too small for the trace
-	evicted, cached := tc.insert(tid("A"), rt)
-	if cached || len(evicted) != 0 {
-		t.Fatalf("oversized insert: cached=%v evicted=%v", cached, evicted)
+	ctx, lines := traceTier(rt.Bytes() - 1) // too small for the trace
+	insert(ctx, tid("A"), rt)
+	want := fmt.Sprintf("uncached %s: trace is %d bytes, cap %d", tid("A"), rt.Bytes(), rt.Bytes()-1)
+	if len(*lines) != 1 || (*lines)[0] != want {
+		t.Fatalf("oversized insert logged %q, want [%q]", *lines, want)
 	}
-	c := tc.snapshot()
+	if cached(ctx, tid("A")) {
+		t.Fatal("oversized trace cached")
+	}
+	c := ctx.TraceCounters()
 	if c.Uncacheable != 1 || c.Bytes != 0 {
 		t.Fatalf("counters = %+v, want 1 uncacheable, 0 bytes", c)
 	}
 }
 
+// TestTraceCacheFallbackReason pins the fallback from a trace that
+// cannot be replayed: the instance is captured once, and every other
+// configuration runs live once and logs why.
 func TestTraceCacheFallbackReason(t *testing.T) {
-	rt := captureSmall(t, "BP") // captured under Base (28 SMs)
-	tc := newTraceCache(0, nil)
-	tc.insert(tid("A"), rt)
-	// Strict placement rejects a different SM count, so the lookup must
-	// miss and surface the reason.
-	cfg := gpusim.Base8SM()
-	got, reason := tc.lookup(tid("A"), &cfg, true)
-	if got != nil || reason == "" {
-		t.Fatalf("lookup = %v, reason %q; want miss with a reason", got, reason)
+	var live atomic.Int32
+	origCap, origChar := captureGPU, characterizeGPU
+	captureGPU = func(b *kernels.Benchmark, size sizes.Class, cfg gpusim.Config, check bool, r *obs.Registry) (*gpusim.Stats, *gpusim.RunTrace, error) {
+		return gpusim.NewStats(cfg.Name), gpusim.ImportRunTrace(cfg, nil, "atomics"), nil
 	}
-	tc.noteCapture(reason != "")
-	c := tc.snapshot()
-	if c.Captures != 1 || c.Fallbacks != 1 {
-		t.Fatalf("counters = %+v, want 1 capture, 1 fallback", c)
+	characterizeGPU = func(b *kernels.Benchmark, size sizes.Class, cfg gpusim.Config, check bool, r *obs.Registry) (*gpusim.Stats, error) {
+		live.Add(1)
+		return gpusim.NewStats(cfg.Name), nil
+	}
+	defer func() { captureGPU, characterizeGPU = origCap, origChar }()
+
+	ctx := NewContext()
+	ctx.Obs = obs.New()
+	var fallbacks []string
+	ctx.Obs.OnEvent("trace", func(format string, args ...any) {
+		if line := fmt.Sprintf(format, args...); strings.HasPrefix(line, "fallback") {
+			fallbacks = append(fallbacks, line)
+		}
+	})
+	b := kernels.All()[0]
+	const configs = 50
+	for ch := 1; ch <= configs; ch++ {
+		cfg := gpusim.Base()
+		cfg.MemChannels = ch
+		cfg.Name = fmt.Sprintf("base-%dch", ch)
+		if _, err := ctx.GPU(b, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := ctx.TraceCounters()
+	if c.Captures != 1 || c.Fallbacks != configs-1 || live.Load() != configs-1 {
+		t.Fatalf("counters = %+v, %d live runs; want 1 capture, %d fallbacks, %d live runs", c, live.Load(), configs-1, configs-1)
+	}
+	if len(fallbacks) != configs-1 {
+		t.Fatalf("%d fallback lines, want %d", len(fallbacks), configs-1)
+	}
+	for _, line := range fallbacks {
+		if !strings.HasSuffix(line, "gpusim: trace not replayable: atomics") {
+			t.Fatalf("fallback line %q does not give the reason", line)
+		}
 	}
 }
 
-func TestTraceCacheStrictPlacement(t *testing.T) {
-	rt := captureSmall(t, "BP") // captured under Base (28 SMs)
-	tc := newTraceCache(0, nil)
-	tc.insert(tid("A"), rt)
-	cfg := gpusim.Base8SM()
-	if got, _ := tc.lookup(tid("A"), &cfg, false); got == nil {
-		t.Fatal("relaxed lookup across SM counts missed")
-	}
-	if got, reason := tc.lookup(tid("A"), &cfg, true); got != nil || reason == "" {
-		t.Fatalf("strict lookup across SM counts = %v, reason %q; want miss with a reason", got, reason)
-	}
-	base := gpusim.Base()
-	if got, _ := tc.lookup(tid("A"), &base, true); got == nil {
-		t.Fatal("strict lookup under the capture config missed")
-	}
-}
-
-// TestTraceCacheKeyedBySize is the trace-cache half of the size-axis
+// TestTraceCacheKeyedBySize is the trace-tier half of the size-axis
 // regression: a trace captured at one size class must never be served
 // to a lookup for the same benchmark at another class, even though the
 // configurations are identical.
 func TestTraceCacheKeyedBySize(t *testing.T) {
 	rt := captureSmall(t, "BP")
-	tc := newTraceCache(0, nil)
-	tc.insert(traceID{bench: "BP", size: sizes.Test}, rt)
-	base := gpusim.Base()
-	if got, reason := tc.lookup(traceID{bench: "BP", size: sizes.Large}, &base, false); got != nil {
-		t.Fatalf("trace captured at test served to a large lookup (reason %q)", reason)
+	ctx, _ := traceTier(DefaultTraceCacheBytes)
+	insert(ctx, traceID{bench: "BP", size: sizes.Test}, rt)
+	if cached(ctx, traceID{bench: "BP", size: sizes.Large}) {
+		t.Fatal("trace captured at test served to a large lookup")
 	}
-	if got, _ := tc.lookup(traceID{bench: "BP", size: sizes.Test}, &base, false); got == nil {
+	if !cached(ctx, traceID{bench: "BP", size: sizes.Test}) {
 		t.Fatal("same-size lookup missed")
 	}
 }
 
 func TestDefaultTraceCacheCap(t *testing.T) {
-	tc := newTraceCache(0, nil)
-	if tc.capBytes != DefaultTraceCacheBytes {
-		t.Fatalf("capBytes = %d, want DefaultTraceCacheBytes", tc.capBytes)
+	if got := NewContext().traces.limit; got != DefaultTraceCacheBytes {
+		t.Fatalf("trace tier bound = %d, want DefaultTraceCacheBytes", got)
 	}
 }

@@ -108,8 +108,7 @@ func (c *Config) Validate() error {
 // CTAsPerSM computes how many CTAs of the kernel fit on one SM given the
 // register, thread, shared-memory and CTA-slot budgets. Together with
 // NumSMs it fully determines CTA→SM placement for a single-kernel
-// launch, which is why the trace-replay validity predicate
-// (RunTrace.CompatibleWith) compares it across configurations.
+// launch.
 func (c *Config) CTAsPerSM(k *isa.Kernel, block int) int {
 	n := c.MaxCTAs
 	if byThreads := c.MaxThreads / block; byThreads < n {

@@ -17,12 +17,11 @@ import (
 //
 // Validity. Replay reproduces full execution bit-identically on
 // gpusim.Stats only when the replay configuration cannot change the
-// functional streams. The explicit predicate (CompatibleWith) requires
-// the trace to be replayable at all: only single-kernel launches (the
-// concurrent-kernel path interleaves dispatch cursors across kernels),
-// no atomics (an atomic's observed value depends on the warp schedule,
-// and every timing knob changes the schedule), and every PC fits the
-// trace encoding.
+// functional streams. The explicit predicate (Replayable) requires only
+// single-kernel launches (the concurrent-kernel path interleaves
+// dispatch cursors across kernels), no atomics (an atomic's observed
+// value depends on the warp schedule, and every timing knob changes the
+// schedule), and every PC fits the trace encoding.
 //
 // Any cross-config replay — even one that only changes DRAM channel
 // count — relies on the functional streams being schedule-independent:
@@ -40,16 +39,8 @@ import (
 // every benchmark across the experiment configurations (Figure 4
 // channels, Figure 5 architectures, the Plackett-Burman rows).
 //
-// For defense in depth, strictPlacement additionally requires identical
-// CTA→SM placement: same NumSMs and, for every (kernel, block) in the
-// trace, the same CTAsPerSM. Placement for single-kernel launches is
-// fully determined by those two (fill packs CTAs onto each SM until its
-// budgets are exhausted), so a strict replay runs the recorded streams
-// under the exact capture placement. Use it when running workloads whose
-// launch-synchronization discipline is unvetted.
-//
-// Incompatibility is a normal condition, not an error: callers fall back
-// to full execution (and typically capture a fresh trace while at it).
+// A trace that is not replayable is a normal condition, not an error:
+// callers fall back to full execution.
 //
 // Replay composes with every execution engine, including the
 // epoch-parallel path (epoch.go): replayed warps never read functional
@@ -78,10 +69,10 @@ func (rt *RunTrace) NumLaunches() int { return len(rt.launches) }
 // CaptureConfig returns the configuration the trace was recorded under.
 func (rt *RunTrace) CaptureConfig() Config { return rt.cfg }
 
-// Replayable reports whether the trace can drive replays at all — i.e.
-// capture saw nothing unrecordable. A non-nil error carries the reason
-// (atomics, concurrent kernels, ...). Per-configuration validity is the
-// stronger CompatibleWith check.
+// Replayable reports whether the trace can drive replays — i.e. capture
+// saw nothing unrecordable — under any configuration (see the validity
+// discussion at the top of this file). A non-nil error carries the
+// reason (atomics, concurrent kernels, ...).
 func (rt *RunTrace) Replayable() error {
 	if rt.invalid != "" {
 		return fmt.Errorf("gpusim: trace not replayable: %s", rt.invalid)
@@ -108,33 +99,6 @@ func ImportRunTrace(cfg Config, launches []*isa.LaunchTrace, invalid string) *Ru
 	return rt
 }
 
-// CompatibleWith reports whether replaying the trace under cfg
-// reproduces full execution bit-identically (see the validity discussion
-// at the top of this file). strictPlacement additionally demands the
-// capture's exact CTA→SM placement. A nil return means compatible;
-// otherwise the error explains the mismatch so callers can log the
-// fallback decision.
-func (rt *RunTrace) CompatibleWith(cfg *Config, strictPlacement bool) error {
-	if err := rt.Replayable(); err != nil {
-		return err
-	}
-	if !strictPlacement {
-		return nil
-	}
-	if cfg.NumSMs != rt.cfg.NumSMs {
-		return fmt.Errorf("gpusim: trace captured with %d SMs; config %s has %d (CTA placement changes)",
-			rt.cfg.NumSMs, cfg.Name, cfg.NumSMs)
-	}
-	for _, lt := range rt.launches {
-		was, now := rt.cfg.CTAsPerSM(lt.Kernel, lt.Launch.Block), cfg.CTAsPerSM(lt.Kernel, lt.Launch.Block)
-		if was != now {
-			return fmt.Errorf("gpusim: kernel %s: %d CTAs/SM at capture vs %d under %s (CTA placement changes)",
-				lt.Kernel.Name, was, now, cfg.Name)
-		}
-	}
-	return nil
-}
-
 // TraceBuilder accumulates a RunTrace while a capturing GPU runs a
 // benchmark. Obtain one with GPU.Capture before the run and its trace
 // with Trace after.
@@ -142,9 +106,9 @@ type TraceBuilder struct {
 	rt *RunTrace
 }
 
-// Trace returns the accumulated trace. The trace answers CompatibleWith
+// Trace returns the accumulated trace. The trace answers Replayable
 // truthfully even when capture saw something unrecordable — it is then
-// permanently incompatible, with the reason preserved.
+// permanently unreplayable, with the reason preserved.
 func (tb *TraceBuilder) Trace() *RunTrace { return tb.rt }
 
 func (tb *TraceBuilder) add(lt *isa.LaunchTrace) {
@@ -175,12 +139,10 @@ func (g *GPU) Capture() *TraceBuilder {
 }
 
 // Replay drives the GPU's timing model from a recorded trace instead of
-// executing kernels. It fails up front when the trace is incompatible
-// with the GPU's configuration (see RunTrace.CompatibleWith); it never
-// partially replays. Callers wanting strict-placement replay check
-// CompatibleWith themselves before calling.
+// executing kernels. It fails up front when the trace is not replayable
+// (see RunTrace.Replayable); it never partially replays.
 func (g *GPU) Replay(rt *RunTrace) error {
-	if err := rt.CompatibleWith(&g.cfg, false); err != nil {
+	if err := rt.Replayable(); err != nil {
 		return err
 	}
 	for _, lt := range rt.launches {

@@ -95,9 +95,8 @@ func TestTraceAtomicsInvalidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := tb.Trace()
-	cfg := Base8SM()
-	if err := rt.CompatibleWith(&cfg, false); err == nil || !strings.Contains(err.Error(), "atomics") {
-		t.Fatalf("CompatibleWith = %v, want atomics rejection", err)
+	if err := rt.Replayable(); err == nil || !strings.Contains(err.Error(), "atomics") {
+		t.Fatalf("Replayable = %v, want atomics rejection", err)
 	}
 	g2, err := New(Base8SM())
 	if err != nil {
@@ -130,29 +129,10 @@ func TestTraceConcurrentLaunchInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := tb.Trace()
-	cfg := Base8SM()
-	if err := rt.CompatibleWith(&cfg, false); err == nil || !strings.Contains(err.Error(), "concurrent") {
-		t.Fatalf("CompatibleWith = %v, want concurrent-launch rejection", err)
+	if err := rt.Replayable(); err == nil || !strings.Contains(err.Error(), "concurrent") {
+		t.Fatalf("Replayable = %v, want concurrent-launch rejection", err)
 	}
 	if rt.NumLaunches() != 0 || rt.Bytes() != 0 {
 		t.Fatalf("invalidated trace retains %d launches, %d bytes", rt.NumLaunches(), rt.Bytes())
-	}
-}
-
-// TestTraceStrictPlacement exercises the strict tier: cross-SM-count
-// replay passes the relaxed predicate but fails strict, and the capture
-// config itself always passes strict.
-func TestTraceStrictPlacement(t *testing.T) {
-	rt := captureVecAdd(t, Base(), 512)
-	other := Base8SM()
-	if err := rt.CompatibleWith(&other, false); err != nil {
-		t.Fatalf("relaxed predicate rejected cross-SM replay: %v", err)
-	}
-	if err := rt.CompatibleWith(&other, true); err == nil || !strings.Contains(err.Error(), "placement") {
-		t.Fatalf("strict predicate = %v, want placement rejection", err)
-	}
-	same := Base()
-	if err := rt.CompatibleWith(&same, true); err != nil {
-		t.Fatalf("strict predicate rejected the capture config: %v", err)
 	}
 }

@@ -1,11 +1,15 @@
 // Package simd implements the characterization service: an HTTP/JSON
-// front end over experiments.Context's tiered cache (memory → persistent
+// front end over experiments.Context's resolvers (memory → persistent
 // store → compute). A request names a benchmark, a size class and a
 // timing configuration; the response is the cached-or-computed
 // gpusim.Stats. Concurrent requests for the same uncached key share one
-// simulation through the context's singleflight, and with a persistent
-// store attached the service warm-starts across restarts — the paper's
-// fixed benchmark matrix swept by many clients hits one warm pool.
+// simulation, and with a persistent store attached the service
+// warm-starts across restarts — the paper's fixed benchmark matrix swept
+// by many clients hits one warm pool. Memory stays bounded however many
+// distinct configurations (say, channels= values) clients ask for: the
+// context keeps the most recently used results and its store holds the
+// rest. A failed characterization is not remembered, so the next
+// request for its key runs it again.
 //
 // Endpoints (GET with query parameters, or POST with a JSON body):
 //

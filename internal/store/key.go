@@ -1,6 +1,7 @@
-// Package store is the persistent, content-addressed artifact store: a
-// disk-backed second tier below the in-process memoization caches
-// (experiments.Context's GPU memo, trace cache and CPU-profile memo).
+// Package store is the persistent, content-addressed artifact store: the
+// disk-backed tier between memory and computation in
+// experiments.Context's resolvers for GPU Stats, warp traces and
+// CPU-profile sweeps.
 // Artifacts — warp traces, GPU Stats, CPU profile sets — are keyed by a
 // stable hash of their full identity (benchmark/workload, problem-size
 // class, timing configuration, encoding version), so a warm store turns
@@ -40,22 +41,27 @@ type Key [sha256.Size]byte
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // StatsKey addresses the GPU Stats of one (benchmark, size class, timing
-// configuration) characterization. Host-side execution knobs — Name,
-// ShardWorkers, EpochCycles — are cleared before hashing: they never
-// change Stats (pinned by the suite matrix), so results computed under
-// any of them share one artifact.
+// configuration) characterization, identified by StatsConfig(cfg).
 func StatsKey(bench string, size sizes.Class, cfg gpusim.Config) Key {
-	cfg.Name = ""
-	cfg.ShardWorkers = 0
-	cfg.EpochCycles = 0
+	cfg = StatsConfig(cfg)
 	return keyFor("gpu-stats", bench, size, EncodingVersion, &cfg)
 }
 
+// StatsConfig is the part of cfg that a characterization's Stats depend
+// on: cfg with the host-side execution knobs — Name, ShardWorkers,
+// EpochCycles — cleared. They never change Stats (pinned by the suite
+// matrix), so results computed under any of them are one result.
+func StatsConfig(cfg gpusim.Config) gpusim.Config {
+	cfg.Name = ""
+	cfg.ShardWorkers = 0
+	cfg.EpochCycles = 0
+	return cfg
+}
+
 // TraceKey addresses the warp trace of one benchmark instance. Traces
-// carry no configuration in their identity: a trace captured under any
-// configuration is a replay candidate for every other, with
-// gpusim.RunTrace.CompatibleWith deciding validity at load time (the
-// capture configuration travels inside the blob).
+// carry no configuration in their identity: a replayable trace captured
+// under any configuration replays under every other (the capture
+// configuration travels inside the blob).
 func TraceKey(bench string, size sizes.Class) Key {
 	return keyFor("warp-trace", bench, size, EncodingVersion, nil)
 }
