@@ -4,8 +4,8 @@
 //	disasm -bench SRADv1         # the unoptimized variants
 //	disasm -list                 # available benchmarks
 //
-// The output round-trips: feed a listing back through isa.Assemble (see
-// internal/isa) to reconstruct the kernel.
+// Each listing opens with the kernel's register and shared/local memory
+// directives, followed by one instruction per line with its PC.
 package main
 
 import (

@@ -62,7 +62,7 @@ func main() {
 	tracelog := flag.Bool("tracelog", false, "log trace capture/replay/fallback decisions to stderr")
 	progress := flag.Bool("progress", false, "report live progress (done/total, percent, ETA) on stderr")
 	telemetry := flag.String("telemetry", "results", "directory for telemetry.json/telemetry.txt (empty disables)")
-	debugAddr := flag.String("debug-addr", "", "serve expvar JSON and pprof on this host:port while running")
+	debug := obs.DebugFlags(flag.CommandLine)
 	debugHold := flag.Bool("debug-hold", false, "with -debug-addr, keep serving after the run until GET /debug/quit")
 	prof := obs.ProfileFlags(flag.CommandLine)
 	flag.Parse()
@@ -133,16 +133,12 @@ func main() {
 		})
 	}
 
-	var srv *obs.DebugServer
-	if *debugAddr != "" {
-		srv, err = obs.ServeDebug(*debugAddr, ctx.Obs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "debug: serving expvar and pprof on http://%s/debug/vars\n", srv.Addr())
+	srv, err := debug.Serve(ctx.Obs, os.Stderr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
+	defer srv.Close()
 
 	start := time.Now()
 	done := 0

@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/gpusim"
 	"repro/internal/micro"
@@ -18,23 +19,12 @@ import (
 )
 
 func main() {
-	cfgName := flag.String("config", "base", "GPU configuration (base, base8, gtx280, gtx480-shared, gtx480-l1)")
+	cfgName := flag.String("config", "base", "GPU configuration ("+strings.Join(gpusim.PresetNames(), ", ")+")")
 	flag.Parse()
 
-	var cfg gpusim.Config
-	switch *cfgName {
-	case "base":
-		cfg = gpusim.Base()
-	case "base8":
-		cfg = gpusim.Base8SM()
-	case "gtx280":
-		cfg = gpusim.GTX280()
-	case "gtx480-shared":
-		cfg = gpusim.GTX480(gpusim.SharedBias)
-	case "gtx480-l1":
-		cfg = gpusim.GTX480(gpusim.L1Bias)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown config %q\n", *cfgName)
+	cfg, err := gpusim.Preset(*cfgName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

@@ -64,7 +64,7 @@ func main() {
 	perKernel := flag.Bool("perkernel", false, "also print a per-kernel statistics breakdown")
 	parallel := flag.Int("parallel", 1, "benchmarks simulated concurrently; 0 means GOMAXPROCS")
 	cf := experiments.ContextFlags(flag.CommandLine)
-	debugAddr := flag.String("debug-addr", "", "serve expvar JSON and pprof on this host:port while running")
+	debug := obs.DebugFlags(flag.CommandLine)
 	prof := obs.ProfileFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -86,15 +86,12 @@ func main() {
 	defer prof.Stop()
 
 	reg := obs.New()
-	if *debugAddr != "" {
-		srv, err := obs.ServeDebug(*debugAddr, reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "debug: serving expvar and pprof on http://%s/debug/vars\n", srv.Addr())
+	srv, err := debug.Serve(reg, os.Stderr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
+	defer srv.Close()
 
 	var cfgs []gpusim.Config
 	for _, name := range strings.Split(*cfgName, ",") {

@@ -53,9 +53,7 @@ func BenchmarkNaiveSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := NewNaiveSweep()
-		for j := range events {
-			s.Event(&events[j])
-		}
+		s.Events(events)
 		if s.Caches[0].Accesses == 0 {
 			b.Fatal("no accesses")
 		}

@@ -24,24 +24,7 @@ type Mix struct {
 	ALU, Branch, Load, Store uint64
 }
 
-var (
-	_ trace.Consumer      = (*Mix)(nil)
-	_ trace.BatchConsumer = (*Mix)(nil)
-)
-
-// Event implements trace.Consumer.
-func (m *Mix) Event(e *trace.Event) {
-	switch e.Kind {
-	case trace.KindALU:
-		m.ALU += uint64(e.Count)
-	case trace.KindBranch:
-		m.Branch += uint64(e.Count)
-	case trace.KindLoad:
-		m.Load++
-	case trace.KindStore:
-		m.Store++
-	}
-}
+var _ trace.BatchConsumer = (*Mix)(nil)
 
 // Events implements trace.BatchConsumer, accumulating in locals so the
 // hot loop stays register-resident instead of bouncing four field writes
@@ -118,10 +101,17 @@ func NewSharedCache(sizeKB, ways int) *SharedCache {
 	}
 }
 
-var _ trace.Consumer = (*SharedCache)(nil)
+var _ trace.BatchConsumer = (*SharedCache)(nil)
 
-// Event implements trace.Consumer, probing the cache on memory events.
-func (c *SharedCache) Event(e *trace.Event) {
+// Events implements trace.BatchConsumer.
+func (c *SharedCache) Events(batch []trace.Event) {
+	for i := range batch {
+		c.probe(&batch[i])
+	}
+}
+
+// probe looks up the line(s) of a memory event; other kinds are ignored.
+func (c *SharedCache) probe(e *trace.Event) {
 	if e.Kind != trace.KindLoad && e.Kind != trace.KindStore {
 		return
 	}
@@ -180,12 +170,15 @@ func NewNaiveSweep() *NaiveSweep {
 	return s
 }
 
-var _ trace.Consumer = (*NaiveSweep)(nil)
+var _ trace.BatchConsumer = (*NaiveSweep)(nil)
 
-// Event implements trace.Consumer.
-func (s *NaiveSweep) Event(e *trace.Event) {
-	for _, c := range s.Caches {
-		c.Event(e)
+// Events implements trace.BatchConsumer: every reference probes every
+// cache.
+func (s *NaiveSweep) Events(batch []trace.Event) {
+	for i := range batch {
+		for _, c := range s.Caches {
+			c.probe(&batch[i])
+		}
 	}
 }
 
@@ -242,18 +235,7 @@ type Sharing struct {
 // NewSharing builds a sharing tracker.
 func NewSharing() *Sharing { return &Sharing{} }
 
-var (
-	_ trace.Consumer      = (*Sharing)(nil)
-	_ trace.BatchConsumer = (*Sharing)(nil)
-)
-
-// Event implements trace.Consumer.
-func (s *Sharing) Event(e *trace.Event) {
-	if e.Kind != trace.KindLoad && e.Kind != trace.KindStore {
-		return
-	}
-	s.touch(e.Addr/LineSize, uint64(1)<<(e.Tid&63), e.Kind == trace.KindStore)
-}
+var _ trace.BatchConsumer = (*Sharing)(nil)
 
 // Events implements trace.BatchConsumer.
 func (s *Sharing) Events(batch []trace.Event) {
@@ -403,18 +385,7 @@ func NewDataFootprint() *DataFootprint {
 	return &DataFootprint{}
 }
 
-var (
-	_ trace.Consumer      = (*DataFootprint)(nil)
-	_ trace.BatchConsumer = (*DataFootprint)(nil)
-)
-
-// Event implements trace.Consumer.
-func (f *DataFootprint) Event(e *trace.Event) {
-	if e.Kind != trace.KindLoad && e.Kind != trace.KindStore {
-		return
-	}
-	f.touch(e.Addr >> 12)
-}
+var _ trace.BatchConsumer = (*DataFootprint)(nil)
 
 // Events implements trace.BatchConsumer.
 func (f *DataFootprint) Events(batch []trace.Event) {

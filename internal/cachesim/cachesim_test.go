@@ -7,20 +7,43 @@ import (
 	"repro/internal/trace"
 )
 
-func load(tid int, addr uint64) *trace.Event {
-	return &trace.Event{Kind: trace.KindLoad, Addr: addr, Size: 4, Count: 1, Tid: uint8(tid)}
+func load(tid int, addr uint64) trace.Event {
+	return trace.Event{Kind: trace.KindLoad, Addr: addr, Size: 4, Count: 1, Tid: uint8(tid)}
 }
 
-func store(tid int, addr uint64) *trace.Event {
-	return &trace.Event{Kind: trace.KindStore, Addr: addr, Size: 4, Count: 1, Tid: uint8(tid)}
+func store(tid int, addr uint64) trace.Event {
+	return trace.Event{Kind: trace.KindStore, Addr: addr, Size: 4, Count: 1, Tid: uint8(tid)}
+}
+
+// loads is a single-threaded stream of 4-byte loads at the given addresses.
+func loads(addrs ...uint64) []trace.Event {
+	out := make([]trace.Event, len(addrs))
+	for i, a := range addrs {
+		out[i] = load(0, a)
+	}
+	return out
+}
+
+// lineWalk is n loads at consecutive line addresses from 0, repeated
+// passes times.
+func lineWalk(n, passes int) []trace.Event {
+	var out []trace.Event
+	for pass := 0; pass < passes; pass++ {
+		for i := 0; i < n; i++ {
+			out = append(out, load(0, uint64(i*LineSize)))
+		}
+	}
+	return out
 }
 
 func TestMixCounting(t *testing.T) {
 	var m Mix
-	m.Event(&trace.Event{Kind: trace.KindALU, Count: 10})
-	m.Event(&trace.Event{Kind: trace.KindBranch, Count: 2})
-	m.Event(load(0, 64))
-	m.Event(store(0, 128))
+	m.Events([]trace.Event{
+		{Kind: trace.KindALU, Count: 10},
+		{Kind: trace.KindBranch, Count: 2},
+		load(0, 64),
+		store(0, 128),
+	})
 	if m.Total() != 14 {
 		t.Fatalf("Total = %d", m.Total())
 	}
@@ -35,8 +58,7 @@ func TestMixCounting(t *testing.T) {
 
 func TestCacheHitsAfterWarm(t *testing.T) {
 	c := NewSharedCache(128, 4)
-	c.Event(load(0, 4096))
-	c.Event(load(0, 4100)) // same line
+	c.Events(loads(4096, 4100)) // same line
 	if c.Accesses != 2 || c.Misses != 1 {
 		t.Fatalf("accesses=%d misses=%d", c.Accesses, c.Misses)
 	}
@@ -46,12 +68,7 @@ func TestCacheCapacityEviction(t *testing.T) {
 	// Stream over 2x the cache capacity twice: the second pass must still
 	// miss (LRU over a streaming pattern evicts everything).
 	c := NewSharedCache(128, 4)
-	lines := 2 * 128 * 1024 / LineSize
-	for pass := 0; pass < 2; pass++ {
-		for i := 0; i < lines; i++ {
-			c.Event(load(0, uint64(i*LineSize)))
-		}
-	}
+	c.Events(lineWalk(2*128*1024/LineSize, 2))
 	if c.MissRate() < 0.99 {
 		t.Fatalf("streaming miss rate %.3f, want ~1", c.MissRate())
 	}
@@ -60,12 +77,7 @@ func TestCacheCapacityEviction(t *testing.T) {
 func TestCacheFitsWorkingSet(t *testing.T) {
 	// A working set smaller than the cache must hit after the first pass.
 	c := NewSharedCache(1024, 4)
-	lines := 512 * 1024 / LineSize / 2 // quarter of capacity
-	for pass := 0; pass < 4; pass++ {
-		for i := 0; i < lines; i++ {
-			c.Event(load(0, uint64(i*LineSize)))
-		}
-	}
+	c.Events(lineWalk(512*1024/LineSize/2, 4)) // quarter of capacity
 	if got := c.MissRate(); got > 0.26 {
 		t.Fatalf("resident working-set miss rate %.3f, want ~0.25", got)
 	}
@@ -74,12 +86,13 @@ func TestCacheFitsWorkingSet(t *testing.T) {
 func TestSweepMonotone(t *testing.T) {
 	// Larger caches never miss more on the same stream.
 	s := NewSweep()
+	stream := make([]uint64, 200000)
 	r := uint64(1)
-	for i := 0; i < 200000; i++ {
+	for i := range stream {
 		r = r*6364136223846793005 + 1442695040888963407
-		addr := (r >> 20) % (8 << 20) // 8 MB working set
-		s.Event(load(0, addr))
+		stream[i] = (r >> 20) % (8 << 20) // 8 MB working set
 	}
+	s.Events(loads(stream...))
 	rates := s.MissRates()
 	for i := 1; i < len(rates); i++ {
 		if rates[i] > rates[i-1]+1e-9 {
@@ -96,7 +109,7 @@ func TestSweepMonotone(t *testing.T) {
 
 func TestStraddlingAccessTouchesTwoLines(t *testing.T) {
 	c := NewSharedCache(128, 4)
-	c.Event(&trace.Event{Kind: trace.KindLoad, Addr: 62, Size: 8, Count: 1})
+	c.Events([]trace.Event{{Kind: trace.KindLoad, Addr: 62, Size: 8, Count: 1}})
 	if c.Accesses != 2 {
 		t.Fatalf("straddling access counted %d probes", c.Accesses)
 	}
@@ -105,11 +118,13 @@ func TestStraddlingAccessTouchesTwoLines(t *testing.T) {
 func TestSharingMetrics(t *testing.T) {
 	s := NewSharing()
 	// Thread 0 touches lines 0,1; thread 1 touches lines 1,2.
-	s.Event(load(0, 0))
-	s.Event(load(0, 64))
-	s.Event(load(1, 64)) // access to line already owned by t0 -> shared
-	s.Event(load(1, 128))
-	s.Event(store(0, 64)) // line 1 now shared; counts as shared access
+	s.Events([]trace.Event{
+		load(0, 0),
+		load(0, 64),
+		load(1, 64), // access to line already owned by t0 -> shared
+		load(1, 128),
+		store(0, 64), // line 1 now shared; counts as shared access
+	})
 	if s.TotalLines() != 3 {
 		t.Fatalf("TotalLines = %d", s.TotalLines())
 	}
@@ -129,11 +144,13 @@ func TestSharingMetrics(t *testing.T) {
 
 func TestDataFootprintPages(t *testing.T) {
 	f := NewDataFootprint()
-	f.Event(load(0, 0))
-	f.Event(load(0, 4095))  // same page
-	f.Event(store(1, 4096)) // second page
-	f.Event(load(2, 1<<20)) // third page
-	f.Event(&trace.Event{Kind: trace.KindALU, Count: 5})
+	f.Events([]trace.Event{
+		load(0, 0),
+		load(0, 4095),  // same page
+		store(1, 4096), // second page
+		load(2, 1<<20), // third page
+		{Kind: trace.KindALU, Count: 5},
+	})
 	if f.Pages() != 3 {
 		t.Fatalf("Pages = %d", f.Pages())
 	}
@@ -146,14 +163,15 @@ func TestQuickCacheInclusionProperty(t *testing.T) {
 	f := func(seed uint32) bool {
 		small := NewSharedCache(128, 4)
 		big := NewSharedCache(1024, 4)
+		stream := make([]uint64, 20000)
 		r := uint64(seed) + 1
-		for i := 0; i < 20000; i++ {
+		for i := range stream {
 			r = r*2862933555777941757 + 3037000493
-			addr := (r >> 16) % (4 << 20)
-			e := load(0, addr)
-			small.Event(e)
-			big.Event(e)
+			stream[i] = (r >> 16) % (4 << 20)
 		}
+		events := loads(stream...)
+		small.Events(events)
+		big.Events(events)
 		return big.Misses <= small.Misses
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {

@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -15,6 +16,21 @@ func naiveMisses(n *NaiveSweep) []uint64 {
 		out[i] = c.Misses
 	}
 	return out
+}
+
+// feedChunked delivers events to every consumer in batches of random
+// size, skewed small so single-event batches are common: state a
+// consumer carries across Events calls (Sweep's repeat-line filter,
+// Sharing's last-line mask) then meets every kind of batch boundary.
+func feedChunked(seed int64, events []trace.Event, cs ...trace.BatchConsumer) {
+	r := rand.New(rand.NewSource(seed))
+	for len(events) > 0 {
+		n := min(1+r.Intn(1<<r.Intn(8)), len(events))
+		for _, c := range cs {
+			c.Events(events[:n])
+		}
+		events = events[n:]
+	}
 }
 
 // assertSweepsEqual fails unless the single-pass sweep and the naive
@@ -73,8 +89,9 @@ func TestQuickSweepMatchesNaive(t *testing.T) {
 		fast := NewSweep()
 		naive := NewNaiveSweep()
 		span := uint64(1) << (12 + spanBits%14) // 4 kB .. 32 MB working sets
+		events := make([]trace.Event, 30000)
 		r := seed | 1
-		for i := 0; i < 30000; i++ {
+		for i := range events {
 			r = r*6364136223846793005 + 1442695040888963407
 			addr := (r >> 13) % span
 			size := uint8(1) << ((r >> 7) % 4) // 1..8 bytes, some straddling
@@ -82,10 +99,9 @@ func TestQuickSweepMatchesNaive(t *testing.T) {
 			if r&1 == 0 {
 				kind = trace.KindStore
 			}
-			e := &trace.Event{Kind: kind, Addr: addr, Size: size, Count: 1, Tid: uint8(r % 8)}
-			fast.Event(e)
-			naive.Event(e)
+			events[i] = trace.Event{Kind: kind, Addr: addr, Size: size, Count: 1, Tid: uint8(r % 8)}
 		}
+		feedChunked(int64(seed), events, fast, naive)
 		nm := naiveMisses(naive)
 		fm := fast.Misses()
 		for i := range nm {
@@ -105,9 +121,9 @@ func TestQuickSweepMatchesNaive(t *testing.T) {
 func TestSweepStraddlingAccess(t *testing.T) {
 	fast := NewSweep()
 	naive := NewNaiveSweep()
-	e := &trace.Event{Kind: trace.KindLoad, Addr: 60, Size: 8, Count: 1}
-	fast.Event(e)
-	naive.Event(e)
+	e := []trace.Event{{Kind: trace.KindLoad, Addr: 60, Size: 8, Count: 1}}
+	fast.Events(e)
+	naive.Events(e)
 	if fast.Accesses != 2 {
 		t.Fatalf("straddling access counted %d probes, want 2", fast.Accesses)
 	}
@@ -116,8 +132,8 @@ func TestSweepStraddlingAccess(t *testing.T) {
 	}
 	assertSweepsEqual(t, "straddle", fast, naive)
 	// Re-access: both lines are now resident.
-	fast.Event(e)
-	naive.Event(e)
+	fast.Events(e)
+	naive.Events(e)
 	if got := fast.Misses()[0]; got != 2 {
 		t.Fatalf("resident straddling access missed: %d misses", got)
 	}
@@ -134,7 +150,7 @@ func TestSharedCacheStraddlingEviction(t *testing.T) {
 	// whose first byte sits on the previous line's tail.
 	for i := 1; i <= 5; i++ {
 		addr := uint64(i*sets*LineSize) - 2
-		c.Event(&trace.Event{Kind: trace.KindStore, Addr: addr, Size: 4, Count: 1})
+		c.Events([]trace.Event{{Kind: trace.KindStore, Addr: addr, Size: 4, Count: 1}})
 	}
 	// 5 straddles = 10 probes; the 5 head lines (set sets-1) conflict-miss
 	// nothing, the 5 tail lines all map to set 0 and overflow its 4 ways.
@@ -143,7 +159,7 @@ func TestSharedCacheStraddlingEviction(t *testing.T) {
 	}
 	// Re-access tail line of the first straddle: evicted, must miss.
 	before := c.Misses
-	c.Event(&trace.Event{Kind: trace.KindLoad, Addr: uint64(sets * LineSize), Size: 4, Count: 1})
+	c.Events(loads(uint64(sets * LineSize)))
 	if c.Misses != before+1 {
 		t.Fatalf("LRU straddled line not evicted (misses %d -> %d)", before, c.Misses)
 	}
@@ -152,9 +168,7 @@ func TestSharedCacheStraddlingEviction(t *testing.T) {
 // TestSweepByKBPoints: the new ByKB exposes per-size counts.
 func TestSweepByKBPoints(t *testing.T) {
 	s := NewSweep()
-	for i := 0; i < 100; i++ {
-		s.Event(&trace.Event{Kind: trace.KindLoad, Addr: uint64(i * LineSize), Size: 4, Count: 1})
-	}
+	s.Events(lineWalk(100, 1))
 	p, err := s.ByKB(4096)
 	if err != nil {
 		t.Fatal(err)
@@ -196,13 +210,13 @@ func TestSweepOddGeometryMatchesNaive(t *testing.T) {
 	for _, kb := range sizes {
 		naive.Caches = append(naive.Caches, NewSharedCache(kb, ways))
 	}
+	stream := make([]uint64, 100000)
 	r := uint64(7)
-	for i := 0; i < 100000; i++ {
+	for i := range stream {
 		r = r*6364136223846793005 + 1442695040888963407
-		e := &trace.Event{Kind: trace.KindLoad, Addr: (r >> 16) % (3 << 20), Size: 4, Count: 1}
-		fast.Event(e)
-		naive.Event(e)
+		stream[i] = (r >> 16) % (3 << 20)
 	}
+	feedChunked(7, loads(stream...), fast, naive)
 	fm := fast.Misses()
 	for i, c := range naive.Caches {
 		if c.Misses != fm[i] {
@@ -216,16 +230,18 @@ func TestSweepOddGeometryMatchesNaive(t *testing.T) {
 // of the line map.
 func TestSharingIncrementalCountsMatchRescan(t *testing.T) {
 	s := NewSharing()
+	events := make([]trace.Event, 50000)
 	r := uint64(12345)
-	for i := 0; i < 50000; i++ {
+	for i := range events {
 		r = r*2862933555777941757 + 3037000493
 		addr := (r >> 16) % (1 << 18)
 		kind := trace.KindLoad
 		if r&2 == 0 {
 			kind = trace.KindStore
 		}
-		s.Event(&trace.Event{Kind: kind, Addr: addr, Size: 4, Count: 1, Tid: uint8(r % 8)})
+		events[i] = trace.Event{Kind: kind, Addr: addr, Size: 4, Count: 1, Tid: uint8(r % 8)}
 	}
+	feedChunked(12345, events, s)
 	shared, sharers, lines := 0, 0, 0
 	s.forEachLine(func(_, mask uint64) {
 		n := 0

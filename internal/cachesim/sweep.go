@@ -82,22 +82,7 @@ func NewSweepSizes(sizesKB []int, ways int) *Sweep {
 	return s
 }
 
-var (
-	_ trace.Consumer      = (*Sweep)(nil)
-	_ trace.BatchConsumer = (*Sweep)(nil)
-)
-
-// Event implements trace.Consumer.
-func (s *Sweep) Event(e *trace.Event) {
-	if e.Kind != trace.KindLoad && e.Kind != trace.KindStore {
-		return
-	}
-	s.access(e.Addr / LineSize)
-	// An access straddling a line boundary touches the next line too.
-	if (e.Addr+uint64(e.Size)-1)/LineSize != e.Addr/LineSize {
-		s.access((e.Addr + uint64(e.Size) - 1) / LineSize)
-	}
-}
+var _ trace.BatchConsumer = (*Sweep)(nil)
 
 // Events implements trace.BatchConsumer.
 func (s *Sweep) Events(batch []trace.Event) {
@@ -107,6 +92,7 @@ func (s *Sweep) Events(batch []trace.Event) {
 			continue
 		}
 		s.access(e.Addr / LineSize)
+		// An access straddling a line boundary touches the next line too.
 		if (e.Addr+uint64(e.Size)-1)/LineSize != e.Addr/LineSize {
 			s.access((e.Addr + uint64(e.Size) - 1) / LineSize)
 		}

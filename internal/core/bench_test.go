@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/sizes"
 	"repro/internal/workloads"
 )
 
@@ -19,7 +20,7 @@ func BenchmarkCPUCharacterize(b *testing.B) {
 		b.Helper()
 		var refs uint64
 		for i := 0; i < b.N; i++ {
-			ps := CharacterizeCPUAllWorkers(ws, workers)
+			ps := CharacterizeCPUAllObs(ws, sizes.Default, workers, nil)
 			refs = 0
 			for _, p := range ps {
 				refs += p.MemRefs

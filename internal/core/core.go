@@ -138,30 +138,12 @@ func CharacterizeCPUObs(w *workloads.Workload, size sizes.Class, r *obs.Registry
 	}
 }
 
-// CharacterizeCPUAll profiles the given workloads on a GOMAXPROCS-wide
-// worker pool, returning profiles in input order.
-func CharacterizeCPUAll(ws []*workloads.Workload) []*CPUProfile {
-	return CharacterizeCPUAllWorkers(ws, 0)
-}
-
-// CharacterizeCPUAllWorkers profiles the given workloads at the default
-// size class; see CharacterizeCPUAllWorkersAt.
-func CharacterizeCPUAllWorkers(ws []*workloads.Workload, workers int) []*CPUProfile {
-	return CharacterizeCPUAllWorkersAt(ws, sizes.Default, workers)
-}
-
-// CharacterizeCPUAllWorkersAt profiles the given workloads at one size
-// class on up to the given number of worker goroutines (≤ 0 means
-// GOMAXPROCS). Each worker builds its own harness and consumers, so
-// workloads never share mutable state; profiles are returned in input
-// order and are identical to a serial pass regardless of the worker
-// count.
-func CharacterizeCPUAllWorkersAt(ws []*workloads.Workload, size sizes.Class, workers int) []*CPUProfile {
-	return CharacterizeCPUAllObs(ws, size, workers, nil)
-}
-
-// CharacterizeCPUAllObs is CharacterizeCPUAllWorkersAt with telemetry:
-// each workload reports through the registry (safe concurrently — every
+// CharacterizeCPUAllObs profiles the given workloads at one size class
+// on up to the given number of worker goroutines (≤ 0 means GOMAXPROCS).
+// Each worker builds its own harness and consumers, so workloads never
+// share mutable state; profiles are returned in input order and are
+// identical to a serial pass regardless of the worker count. Each
+// workload reports through the registry (safe concurrently — every
 // instrument is atomic), and the pool itself reports its size. A nil
 // registry is the free no-op.
 func CharacterizeCPUAllObs(ws []*workloads.Workload, size sizes.Class, workers int, r *obs.Registry) []*CPUProfile {
@@ -235,11 +217,6 @@ func CharacterizeGPUObs(b *kernels.Benchmark, size sizes.Class, cfg gpusim.Confi
 		}
 	}
 	return g.Stats, nil
-}
-
-// CaptureGPU is CaptureGPUAt at the default (medium) size class.
-func CaptureGPU(b *kernels.Benchmark, cfg gpusim.Config, check bool) (*gpusim.Stats, *gpusim.RunTrace, error) {
-	return CaptureGPUAt(b, sizes.Default, cfg, check)
 }
 
 // CaptureGPUAt is CharacterizeGPUAt with trace recording: alongside the

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cachesim"
 	"repro/internal/gpusim"
 	"repro/internal/kernels"
+	"repro/internal/sizes"
 	"repro/internal/workloads"
 )
 
@@ -61,7 +62,7 @@ func TestFeatureVectorShapes(t *testing.T) {
 
 func TestCharacterizeCPUAllOrder(t *testing.T) {
 	ws := workloads.Rodinia()[:3]
-	ps := CharacterizeCPUAll(ws)
+	ps := CharacterizeCPUAllObs(ws, sizes.Default, 0, nil)
 	if len(ps) != 3 {
 		t.Fatalf("got %d profiles", len(ps))
 	}

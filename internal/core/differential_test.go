@@ -6,15 +6,52 @@ import (
 	"testing"
 
 	"repro/internal/cachesim"
+	"repro/internal/sizes"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
 // The reference pipeline below re-implements the pre-batching consumers
-// verbatim: per-event dispatch only (so the harness routes it through the
-// legacy adapter), map rescans instead of incremental counters, and the
-// naive eight-cache sweep. A profile built from it is the "current serial
-// per-event pipeline" the optimized path must reproduce bit-for-bit.
+// verbatim: per-event dispatch only (each fed one event at a time through
+// perEvent), map rescans instead of incremental counters, and the naive
+// eight-cache sweep. It shares no consumer with production except
+// cachesim.NaiveSweep, the oracle itself. A profile built from it is the
+// serial per-event pipeline the optimized path must reproduce
+// bit-for-bit.
+
+// perEvent feeds a batch to a per-event reference consumer in order.
+type perEvent func(e *trace.Event)
+
+func (f perEvent) Events(batch []trace.Event) {
+	for i := range batch {
+		f(&batch[i])
+	}
+}
+
+type refMix struct{ alu, branch, load, store uint64 }
+
+func (m *refMix) Event(e *trace.Event) {
+	switch e.Kind {
+	case trace.KindALU:
+		m.alu += uint64(e.Count)
+	case trace.KindBranch:
+		m.branch += uint64(e.Count)
+	case trace.KindLoad:
+		m.load++
+	case trace.KindStore:
+		m.store++
+	}
+}
+
+func (m *refMix) total() uint64 { return m.alu + m.branch + m.load + m.store }
+
+func (m *refMix) fractions() (alu, branch, load, store float64) {
+	t := float64(m.total())
+	if t == 0 {
+		return
+	}
+	return float64(m.alu) / t, float64(m.branch) / t, float64(m.load) / t, float64(m.store) / t
+}
 
 type refSharing struct {
 	lines                            map[uint64]uint64
@@ -77,22 +114,16 @@ func (f *refFootprint) Event(e *trace.Event) {
 	f.pages[e.Addr>>12] = struct{}{}
 }
 
-// perEventOnly hides any batch capability so the harness uses the legacy
-// per-event adapter for the wrapped consumer.
-type perEventOnly struct{ c trace.Consumer }
-
-func (p perEventOnly) Event(e *trace.Event) { p.c.Event(e) }
-
 // referenceCharacterizeCPU is the retained serial per-event pipeline.
 func referenceCharacterizeCPU(w *workloads.Workload) *CPUProfile {
-	mix := &cachesim.Mix{}
+	mix := &refMix{}
 	sweep := cachesim.NewNaiveSweep()
 	sharing := &refSharing{lines: make(map[uint64]uint64)}
 	foot := &refFootprint{pages: make(map[uint64]struct{})}
-	h := trace.NewHarness(workloads.Threads, perEventOnly{mix}, sweep, sharing, foot)
+	h := trace.NewHarness(workloads.Threads, perEvent(mix.Event), sweep, perEvent(sharing.Event), perEvent(foot.Event))
 	w.RunDefault(h)
 
-	alu, br, ld, st := mix.Fractions()
+	alu, br, ld, st := mix.fractions()
 	var sharedAcc, sharedStore float64
 	if sharing.memRefs > 0 {
 		sharedAcc = float64(sharing.accShared) / float64(sharing.memRefs)
@@ -114,8 +145,8 @@ func referenceCharacterizeCPU(w *workloads.Workload) *CPUProfile {
 		MeanSharers:      sharing.meanSharers(),
 		InstrBlocks:      h.TouchedInstrBlocks(),
 		DataPages:        uint64(len(foot.pages)),
-		MemRefs:          mix.MemRefs(),
-		Instrs:           mix.Total(),
+		MemRefs:          mix.load + mix.store,
+		Instrs:           mix.total(),
 	}
 }
 
@@ -132,7 +163,7 @@ func TestCPUProfilesMatchSerialReference(t *testing.T) {
 	if workers < 4 {
 		workers = 4
 	}
-	got := CharacterizeCPUAllWorkers(ws, workers)
+	got := CharacterizeCPUAllObs(ws, sizes.Default, workers, nil)
 	for i, w := range ws {
 		want := referenceCharacterizeCPU(w)
 		if !reflect.DeepEqual(got[i], want) {
@@ -146,9 +177,9 @@ func TestCPUProfilesMatchSerialReference(t *testing.T) {
 // pool race-clean.
 func TestCPUCharacterizeParallelDeterminism(t *testing.T) {
 	ws := workloads.Rodinia()[:6]
-	serial := CharacterizeCPUAllWorkers(ws, 1)
+	serial := CharacterizeCPUAllObs(ws, sizes.Default, 1, nil)
 	for _, workers := range []int{2, 3, 8} {
-		par := CharacterizeCPUAllWorkers(ws, workers)
+		par := CharacterizeCPUAllObs(ws, sizes.Default, workers, nil)
 		if !reflect.DeepEqual(serial, par) {
 			t.Fatalf("profiles differ between 1 and %d workers", workers)
 		}

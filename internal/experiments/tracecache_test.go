@@ -24,7 +24,7 @@ func captureSmall(t *testing.T, abbrev string) *gpusim.RunTrace {
 	t.Helper()
 	for _, b := range kernels.All() {
 		if b.Abbrev == abbrev {
-			_, rt, err := core.CaptureGPU(b, gpusim.Base(), false)
+			_, rt, err := core.CaptureGPUAt(b, sizes.Default, gpusim.Base(), false)
 			if err != nil {
 				t.Fatalf("capture %s: %v", abbrev, err)
 			}

@@ -66,9 +66,6 @@ func (rt *RunTrace) Bytes() int64 { return rt.bytes }
 // NumLaunches reports how many kernel launches the trace holds.
 func (rt *RunTrace) NumLaunches() int { return len(rt.launches) }
 
-// CaptureConfig returns the configuration the trace was recorded under.
-func (rt *RunTrace) CaptureConfig() Config { return rt.cfg }
-
 // Replayable reports whether the trace can drive replays — i.e. capture
 // saw nothing unrecordable — under any configuration (see the validity
 // discussion at the top of this file). A non-nil error carries the

@@ -5,9 +5,9 @@ import (
 	"strings"
 )
 
-// Disassemble renders a kernel as a PTX-like listing, one instruction per
-// line with its PC. The output is accepted back by Assemble, so kernels
-// round-trip through text.
+// Disassemble renders a kernel as a PTX-like listing for reading: a
+// header of resource directives, then one instruction per line with its
+// PC. It is an output-only format (cmd/disasm); nothing parses it back.
 func Disassemble(k *Kernel) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, ".kernel %s\n", k.Name)

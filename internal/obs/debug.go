@@ -2,7 +2,9 @@ package obs
 
 import (
 	"expvar"
+	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -72,5 +74,40 @@ func (s *DebugServer) Addr() string { return s.ln.Addr().String() }
 // Quit is closed when a client requests /debug/quit.
 func (s *DebugServer) Quit() <-chan struct{} { return s.quit }
 
-// Close stops the listener.
-func (s *DebugServer) Close() error { return s.ln.Close() }
+// Close stops the listener; it is a no-op on a nil server.
+func (s *DebugServer) Close() error {
+	if s == nil {
+		return nil
+	}
+	return s.ln.Close()
+}
+
+// DebugFlag owns a command's -debug-addr wiring, shared the way
+// ProfileFlags shares the profiling flags:
+//
+//	dbg := obs.DebugFlags(flag.CommandLine)
+//	flag.Parse()
+//	srv, err := dbg.Serve(reg, os.Stderr)
+//	if err != nil { ... }
+//	defer srv.Close()
+type DebugFlag struct{ addr *string }
+
+// DebugFlags registers -debug-addr on the flag set.
+func DebugFlags(fs *flag.FlagSet) *DebugFlag {
+	return &DebugFlag{addr: fs.String("debug-addr", "", "serve expvar JSON and pprof on this host:port while running")}
+}
+
+// Serve starts the debug server on r if -debug-addr was given, and writes
+// to w the banner naming the bound address (scripts parse it to find an
+// ephemeral port). Without the flag it returns a nil server.
+func (d *DebugFlag) Serve(r *Registry, w io.Writer) (*DebugServer, error) {
+	if *d.addr == "" {
+		return nil, nil
+	}
+	srv, err := ServeDebug(*d.addr, r)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "debug: serving expvar and pprof on http://%s/debug/vars\n", srv.Addr())
+	return srv, nil
+}

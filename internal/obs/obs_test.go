@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -214,5 +215,33 @@ func TestServeDebug(t *testing.T) {
 	case <-srv.Quit():
 	case <-time.After(5 * time.Second):
 		t.Fatal("Quit channel not closed after /debug/quit")
+	}
+}
+
+// TestDebugFlags: without -debug-addr no server starts and nothing is
+// printed; with it, the banner names the bound address in the exact form
+// CI's smoke steps parse.
+func TestDebugFlags(t *testing.T) {
+	var out strings.Builder
+	srv, err := DebugFlags(flag.NewFlagSet("off", flag.ContinueOnError)).Serve(New(), &out)
+	if srv != nil || err != nil || out.Len() != 0 {
+		t.Fatalf("without -debug-addr: server %v, err %v, output %q", srv, err, out.String())
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("nil server Close: %v", err)
+	}
+
+	fs := flag.NewFlagSet("on", flag.ContinueOnError)
+	dbg := DebugFlags(fs)
+	if err := fs.Parse([]string{"-debug-addr", "127.0.0.1:0"}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err = dbg.Serve(New(), &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if want := "debug: serving expvar and pprof on http://" + srv.Addr() + "/debug/vars\n"; out.String() != want {
+		t.Fatalf("banner %q, want %q", out.String(), want)
 	}
 }

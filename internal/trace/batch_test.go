@@ -1,83 +1,6 @@
 package trace
 
-import (
-	"testing"
-	"testing/quick"
-)
-
-// batchRecorder captures the stream through the batched interface,
-// copying each batch (batches alias pooled buffers).
-type batchRecorder struct {
-	events  []Event
-	batches int
-	maxLen  int
-}
-
-func (r *batchRecorder) Events(batch []Event) {
-	if len(batch) == 0 {
-		panic("empty batch delivered")
-	}
-	r.events = append(r.events, batch...)
-	r.batches++
-	if len(batch) > r.maxLen {
-		r.maxLen = len(batch)
-	}
-}
-
-// perEventOnly hides a consumer's batch interface so the harness must go
-// through the per-event adapter.
-type perEventOnly struct{ c Consumer }
-
-func (p perEventOnly) Event(e *Event) { p.c.Event(e) }
-
-// driveImbalanced runs a parallel region whose threads record very
-// different event counts (thread t records 10*(t+1) loads), the shape
-// that made the old merge rescan exhausted threads every round.
-func driveImbalanced(h *Harness) {
-	blk := h.Code("imb", 32)
-	a := h.Alloc(1 << 16)
-	h.Serial(func(c *Ctx) {
-		c.At(blk)
-		c.ALU(5)
-		c.Load(a, 8)
-	})
-	h.Parallel(func(tid int, c *Ctx) {
-		c.At(blk)
-		for i := 0; i < 10*(tid+1); i++ {
-			c.Load(a+uint64(tid*4096+i*8), 8)
-			c.ALU(1)
-		}
-	})
-}
-
-// TestBatchAdapterEquivalence: a consumer registered through the legacy
-// per-event interface and one registered through BatchConsumer must see
-// the exact same stream.
-func TestBatchAdapterEquivalence(t *testing.T) {
-	legacy := &recorder{}
-	batched := &batchRecorder{}
-	h := NewHarness(4, perEventOnly{legacy})
-	h.AddBatchConsumer(batched)
-	h.Granularity = 7
-	driveImbalanced(h)
-	if len(legacy.events) == 0 {
-		t.Fatal("no events recorded")
-	}
-	if len(legacy.events) != len(batched.events) {
-		t.Fatalf("legacy saw %d events, batched saw %d", len(legacy.events), len(batched.events))
-	}
-	for i := range legacy.events {
-		if legacy.events[i] != batched.events[i] {
-			t.Fatalf("event %d differs: %+v vs %+v", i, legacy.events[i], batched.events[i])
-		}
-	}
-	if batched.batches <= 1 {
-		t.Fatalf("expected chunked delivery, got %d batches", batched.batches)
-	}
-	if batched.maxLen > emitChunk {
-		t.Fatalf("batch of %d events exceeds emitChunk %d", batched.maxLen, emitChunk)
-	}
-}
+import "testing"
 
 // TestParallelMergeDropsExhaustedThreads: with heavily imbalanced
 // per-thread streams, the tail of the merged stream must be the longest
@@ -101,6 +24,11 @@ func TestParallelMergeDropsExhaustedThreads(t *testing.T) {
 	})
 	if len(rec.events) != 4+4+4+40 {
 		t.Fatalf("got %d events", len(rec.events))
+	}
+	// One turn per thread in round one, then nine turns of thread 3.
+	if rec.batches != 4+9 || rec.maxLen != h.Granularity {
+		t.Fatalf("got %d batches of at most %d events, want 13 of at most %d",
+			rec.batches, rec.maxLen, h.Granularity)
 	}
 	// After round one (16 events), only thread 3 remains.
 	for i, e := range rec.events[16:] {
@@ -141,40 +69,5 @@ func TestBufferReuseAcrossRegions(t *testing.T) {
 		if len(rec.events) != want {
 			t.Fatalf("round %d: got %d events, want %d", round, len(rec.events), want)
 		}
-	}
-}
-
-// TestQuickBatchMatchesPerEvent: for arbitrary granularities and thread
-// loads, the batched path and the adapter path deliver identical streams.
-func TestQuickBatchMatchesPerEvent(t *testing.T) {
-	f := func(granularity uint8, counts [6]uint8) bool {
-		legacy := &recorder{}
-		batched := &batchRecorder{}
-		h := NewHarness(6, perEventOnly{legacy})
-		h.AddBatchConsumer(batched)
-		h.Granularity = 1 + int(granularity%16)
-		blk := h.Code("q", 16)
-		a := h.Alloc(1 << 20)
-		h.Parallel(func(tid int, c *Ctx) {
-			c.At(blk)
-			for i := 0; i < int(counts[tid]%40); i++ {
-				c.Load(a+uint64(tid)<<12+uint64(i), 1)
-				if i%3 == 0 {
-					c.ALU(2)
-				}
-			}
-		})
-		if len(legacy.events) != len(batched.events) {
-			return false
-		}
-		for i := range legacy.events {
-			if legacy.events[i] != batched.events[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }

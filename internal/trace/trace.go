@@ -9,6 +9,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/obs"
@@ -41,38 +42,12 @@ type Event struct {
 	Tid   uint8
 }
 
-// Consumer receives the interleaved event stream one record at a time.
-// It remains the compatibility interface; the harness delivers to it
-// through an adapter over the batched path.
-type Consumer interface {
-	Event(e *Event)
-}
-
 // BatchConsumer receives the interleaved event stream in contiguous
 // chunks. Batches alias harness-owned buffers that are recycled after
 // the enclosing region completes, so implementations must not retain
-// the slice (or pointers into it) beyond the call. Consumers that also
-// implement BatchConsumer are fed through it, skipping the per-event
-// virtual call.
+// the slice (or pointers into it) beyond the call.
 type BatchConsumer interface {
 	Events(batch []Event)
-}
-
-// eventAdapter feeds a batch to a legacy per-event Consumer.
-type eventAdapter struct{ c Consumer }
-
-func (a eventAdapter) Events(batch []Event) {
-	for i := range batch {
-		a.c.Event(&batch[i])
-	}
-}
-
-// asBatch returns c's batched interface, wrapping per-event consumers.
-func asBatch(c Consumer) BatchConsumer {
-	if bc, ok := c.(BatchConsumer); ok {
-		return bc
-	}
-	return eventAdapter{c: c}
 }
 
 // CodeBlock models a static code region (a function or hot loop). Its
@@ -118,25 +93,21 @@ type Harness struct {
 }
 
 // NewHarness builds a harness for the given thread count.
-func NewHarness(threads int, consumers ...Consumer) *Harness {
+func NewHarness(threads int, consumers ...BatchConsumer) *Harness {
 	if threads < 1 || threads > 64 {
 		panic(fmt.Sprintf("trace: invalid thread count %d", threads))
 	}
-	h := &Harness{
+	return &Harness{
 		Threads:     threads,
 		dataTop:     1 << 20, // data space starts at 1 MiB
 		codeTop:     1 << 30, // code space is disjoint from data
 		Granularity: 64,
+		// Clipped, so AddBatchConsumer never appends into the caller's array.
+		consumers: slices.Clip(consumers),
 	}
-	for _, c := range consumers {
-		h.consumers = append(h.consumers, asBatch(c))
-	}
-	return h
 }
 
-// AddBatchConsumer registers a consumer that only speaks the batched
-// interface. Consumers registered through NewHarness that also implement
-// BatchConsumer are already fed through it.
+// AddBatchConsumer registers one more consumer after construction.
 func (h *Harness) AddBatchConsumer(bc BatchConsumer) {
 	h.consumers = append(h.consumers, bc)
 }

@@ -5,10 +5,22 @@ import (
 	"testing/quick"
 )
 
-// recorder captures the emitted stream for assertions.
-type recorder struct{ events []Event }
+// recorder captures the emitted stream for assertions, copying each
+// batch (batches alias pooled buffers), and tallies the batch shapes.
+type recorder struct {
+	events  []Event
+	batches int
+	maxLen  int
+}
 
-func (r *recorder) Event(e *Event) { r.events = append(r.events, *e) }
+func (r *recorder) Events(batch []Event) {
+	if len(batch) == 0 {
+		panic("empty batch delivered")
+	}
+	r.events = append(r.events, batch...)
+	r.batches++
+	r.maxLen = max(r.maxLen, len(batch))
+}
 
 func TestSerialOrdering(t *testing.T) {
 	rec := &recorder{}
@@ -36,6 +48,34 @@ func TestSerialOrdering(t *testing.T) {
 	}
 	if rec.events[1].Count != 3 {
 		t.Fatalf("ALU count = %d", rec.events[1].Count)
+	}
+
+	// A serial region longer than emitChunk arrives in program order,
+	// chunked: more than one batch, none longer than emitChunk.
+	const n = 2*emitChunk + 1
+	rec = &recorder{}
+	h = NewHarness(1, rec)
+	blk = h.Code("long", 8)
+	base := h.Alloc(n)
+	h.Serial(func(c *Ctx) {
+		c.At(blk)
+		for i := 0; i < n; i++ {
+			c.Load(base+uint64(i), 1)
+		}
+	})
+	if len(rec.events) != n {
+		t.Fatalf("long serial region: got %d events, want %d", len(rec.events), n)
+	}
+	for i, e := range rec.events {
+		if e.Addr != base+uint64(i) {
+			t.Fatalf("long serial region: event %d out of order", i)
+		}
+	}
+	if rec.batches <= 1 {
+		t.Fatalf("expected chunked delivery, got %d batches", rec.batches)
+	}
+	if rec.maxLen > emitChunk {
+		t.Fatalf("batch of %d events exceeds emitChunk %d", rec.maxLen, emitChunk)
 	}
 }
 

@@ -77,14 +77,16 @@ type countingConsumer struct {
 	tids     map[uint8]bool
 }
 
-func (c *countingConsumer) Event(e *trace.Event) {
-	switch e.Kind {
-	case trace.KindLoad, trace.KindStore:
-		c.mem++
-	case trace.KindALU:
-		c.alu += uint64(e.Count)
+func (c *countingConsumer) Events(batch []trace.Event) {
+	for _, e := range batch {
+		switch e.Kind {
+		case trace.KindLoad, trace.KindStore:
+			c.mem++
+		case trace.KindALU:
+			c.alu += uint64(e.Count)
+		}
+		c.tids[e.Tid] = true
 	}
-	c.tids[e.Tid] = true
 }
 
 // TestEveryWorkloadProducesParallelWork runs every workload and checks it
@@ -130,9 +132,14 @@ func TestWorkloadsDeterministic(t *testing.T) {
 	}
 }
 
+// consumerFunc is a consumer that calls f on each event in turn.
 type consumerFunc func(e *trace.Event)
 
-func (f consumerFunc) Event(e *trace.Event) { f(e) }
+func (f consumerFunc) Events(batch []trace.Event) {
+	for i := range batch {
+		f(&batch[i])
+	}
+}
 
 // TestEveryWorkloadRunsAtTestSize traces every workload at the small
 // class: the size axis must keep every run body valid, and the test
