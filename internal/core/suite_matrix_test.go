@@ -29,7 +29,10 @@ import (
 // of the table over all twelve benchmarks; oracles and captures are
 // computed once per test binary and shared by every leg of every row.
 // Under -race in CI the sharded legs also prove the epoch engine
-// race-clean.
+// race-clean. Live legs and the oracle run on the producer's recording
+// (functional-first, see internal/gpusim/feed.go), so live and replay
+// share one functional stream; schedule_test.go checks that stream
+// against schedules the producer never uses.
 
 // mode is how a leg obtains its Stats.
 type mode int

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gpusim"
 	"repro/internal/sizes"
 	"repro/internal/stats"
 )
@@ -222,5 +223,19 @@ func TestGPUExperimentsEndToEnd(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("fig1 notes do not place MUM at the bottom: %v", res.Notes)
+	}
+}
+
+// TestPBConfigsValidate pins that every Plackett-Burman row stays inside
+// gpusim.Config's bounds.
+func TestPBConfigsValidate(t *testing.T) {
+	for r, row := range stats.PB12() {
+		c := gpusim.Base()
+		for f := range PBFactors {
+			PBFactors[f].Apply(&c, row[f] > 0)
+		}
+		if err := c.Validate(); err != nil {
+			t.Errorf("row %d: %v", r, err)
+		}
 	}
 }

@@ -4,11 +4,14 @@
 // IPC, warp-occupancy histograms, memory-instruction mix, DRAM bandwidth
 // utilization and cache statistics.
 //
-// The model is execute-at-issue: when the warp scheduler issues a warp
-// instruction, the instruction's functional effect is applied immediately
-// and its timing cost (issue slots, latency, memory transactions) is
-// charged to the pipeline, the shared-memory banks, the caches and the
-// DRAM channels.
+// The model is functional-first: each kernel executes on a producer
+// goroutine (internal/isa's interpreter), which records every warp's
+// instruction stream CTA by CTA, and the cycle-level event loop replays
+// those streams as they arrive — the same loop, on the same replay
+// warps, that a stored trace drives. When the warp scheduler issues a
+// recorded instruction, its timing cost (issue slots, latency, memory
+// transactions) is charged to the pipeline, the shared-memory banks, the
+// caches and the DRAM channels.
 package gpusim
 
 import (
@@ -71,9 +74,7 @@ type Config struct {
 	// DefaultEpochCycles; 1 synchronizes every cycle. Results are
 	// bit-identical to the sequential simulator (ShardWorkers 0 or 1)
 	// for every value of both, so they never change what an experiment
-	// measures — only how fast it runs. One caveat: kernels using
-	// global atomics must run sequentially (the parallel engine defers
-	// device stores and faults on atomics); no Rodinia kernel does.
+	// measures — only how fast it runs.
 	ShardWorkers int
 	EpochCycles  int
 }
@@ -82,25 +83,69 @@ type Config struct {
 // when Config.EpochCycles is 0.
 const DefaultEpochCycles = 64
 
-// Validate reports configuration errors.
+// fieldBound is the accepted range of one integer Config field.
+type fieldBound struct {
+	name      string
+	v, lo, hi int
+}
+
+// bounds lists the accepted ranges of Config's integer fields. The upper
+// bounds sit far above every preset and every Plackett-Burman row; they
+// exist so that a hostile configuration (a service request, say) cannot
+// make New or a launch allocate or loop without bound. The bank model
+// keeps per-bank scratch for at most 32 banks, one per lane.
+func (c *Config) bounds() []fieldBound {
+	return []fieldBound{
+		{"NumSMs", c.NumSMs, 1, 1024},
+		{"MaxThreads", c.MaxThreads, 1, 1 << 16},
+		{"MaxCTAs", c.MaxCTAs, 1, 1024},
+		{"Registers", c.Registers, 0, 1 << 24},
+		{"SharedMemory", c.SharedMemory, 0, 1 << 24},
+		{"SharedBanks", c.SharedBanks, 1, 32},
+		{"ALULatency", c.ALULatency, 0, 1 << 20},
+		{"SFULatency", c.SFULatency, 0, 1 << 20},
+		{"SharedLatency", c.SharedLatency, 0, 1 << 20},
+		{"ConstLatency", c.ConstLatency, 0, 1 << 20},
+		{"TexLatency", c.TexLatency, 0, 1 << 20},
+		{"ParamLatency", c.ParamLatency, 0, 1 << 20},
+		{"DRAMLatency", c.DRAMLatency, 0, 1 << 20},
+		{"L1Latency", c.L1Latency, 0, 1 << 20},
+		{"L2Latency", c.L2Latency, 0, 1 << 20},
+		{"CoreClockMHz", c.CoreClockMHz, 1, 1 << 20},
+		{"MemClockMHz", c.MemClockMHz, 1, 1 << 20},
+		{"MemChannels", c.MemChannels, 1, 1024},
+		{"DRAMBusBytes", c.DRAMBusBytes, 1, 1 << 12},
+		{"ConstCacheKB", c.ConstCacheKB, 0, 1 << 12},
+		{"TexCacheKB", c.TexCacheKB, 0, 1 << 12},
+		{"L1CacheKB", c.L1CacheKB, 0, 1 << 12},
+		{"L2CacheKB", c.L2CacheKB, 0, 1 << 16},
+		{"LineSize", c.LineSize, 4, 1 << 12},
+		{"ShardWorkers", c.ShardWorkers, 0, 1024},
+		{"EpochCycles", c.EpochCycles, 0, 1 << 20},
+	}
+}
+
+// maxCacheLines bounds the cache lines New allocates across every SM's
+// caches and the L2 (about 70 MiB of cache state). The presets need at
+// most 28k.
+const maxCacheLines = 1 << 22
+
+// Validate reports configuration errors, including any field outside
+// its bounds and caches whose lines exceed maxCacheLines in total.
 func (c *Config) Validate() error {
+	for _, b := range c.bounds() {
+		if b.v < b.lo || b.v > b.hi {
+			return fmt.Errorf("gpusim: %s = %d outside [%d, %d]", b.name, b.v, b.lo, b.hi)
+		}
+	}
+	lines := (c.NumSMs*(c.ConstCacheKB+c.TexCacheKB+c.L1CacheKB) + c.L2CacheKB) * 1024 / c.LineSize
 	switch {
-	case c.NumSMs <= 0:
-		return fmt.Errorf("gpusim: NumSMs = %d", c.NumSMs)
 	case c.SIMDWidth <= 0 || 32%c.SIMDWidth != 0:
 		return fmt.Errorf("gpusim: SIMDWidth = %d must divide 32", c.SIMDWidth)
-	case c.MaxThreads <= 0 || c.MaxCTAs <= 0:
-		return fmt.Errorf("gpusim: thread/CTA limits must be positive")
-	case c.MemChannels <= 0 || c.DRAMBusBytes <= 0:
-		return fmt.Errorf("gpusim: memory system misconfigured")
-	case c.LineSize <= 0 || c.LineSize&(c.LineSize-1) != 0:
+	case c.LineSize&(c.LineSize-1) != 0:
 		return fmt.Errorf("gpusim: LineSize = %d must be a power of two", c.LineSize)
-	case c.SharedBanks <= 0:
-		return fmt.Errorf("gpusim: SharedBanks = %d", c.SharedBanks)
-	case c.ShardWorkers < 0:
-		return fmt.Errorf("gpusim: ShardWorkers = %d", c.ShardWorkers)
-	case c.EpochCycles < 0:
-		return fmt.Errorf("gpusim: EpochCycles = %d", c.EpochCycles)
+	case lines > maxCacheLines:
+		return fmt.Errorf("gpusim: caches hold %d lines in total, limit %d", lines, maxCacheLines)
 	}
 	return nil
 }

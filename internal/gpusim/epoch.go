@@ -10,17 +10,21 @@ import (
 // The epoch-parallel engine is the launch path for Config.ShardWorkers >
 // 1. SMs are sharded across worker goroutines, and each worker advances
 // its SMs up to EpochCycles cycles on SM-local state alone, buffering
-// every step that needs the launch-global memory system — and every
-// deferred device store — into a per-SM log with its issue cycle. At the
-// epoch boundary the coordinator merges the logs and replays them in
-// (cycle, SM index) order through the caches, DRAM channels, sharing
-// tracker and store buffers, which is exactly the order the sequential
-// loop visits them, so results stay bit-identical with one barrier
-// crossing per epoch round. Within a cycle the sequential order is
-// exec(sm0), price(sm0), exec(sm1), …, and execution never reads
-// pricing state, so executing SMs concurrently and pricing afterwards
-// observes the same values everywhere; the per-worker stats shards are
-// commutative sums merged in worker order at the end.
+// every step that needs the launch-global memory system into a per-SM
+// log with its issue cycle. At the epoch boundary the coordinator merges
+// the logs and replays them in (cycle, SM index) order through the
+// caches, DRAM channels and sharing tracker, which is exactly the order
+// the sequential loop visits them, so results stay bit-identical with
+// one barrier crossing per epoch round. Within a cycle the sequential
+// order is exec(sm0), price(sm0), exec(sm1), …, and execution never
+// reads pricing state, so executing SMs concurrently and pricing
+// afterwards observes the same values everywhere; the per-worker stats
+// shards are commutative sums merged in worker order at the end.
+//
+// Warps replay recorded streams on every launch, live or replayed: a
+// live kernel runs on its producer goroutine (feed.go), never on a
+// shard. So SMs share no functional memory, and epochs run at full
+// length whatever the kernels store.
 //
 // What makes running ahead safe:
 //
@@ -34,35 +38,20 @@ import (
 //     every cycle the SM already simulated, so no issue opportunity was
 //     missed. Global/local stores need no park — their warp latency is
 //     architecturally ALULatency — but their lines still replay in order
-//     for bandwidth, cache state and the store's visibility point.
-//   - Store visibility. Functional stores to device memory sit in the
-//     SM's isa.StoreBuffer, tagged by event with their count, so
-//     concurrent SMs never write shared memory (Rodinia kernels issue
-//     CUDA-benign same-value writes from different CTAs, as BFS does
-//     marking a common neighbor). The coordinator flushes exactly the
-//     prefix belonging to each replayed event. A load therefore observes
-//     precisely the stores from cycles before its own, launch-wide. In
-//     replay mode (trace-driven warps) functional memory is never read,
-//     so epochs run at full length unconditionally. In live mode a
-//     conservative gate keeps reads exact: before issuing a warp whose
-//     next instruction reads a space some live kernel stores to, the SM
-//     checks that its clock has not passed the flush watermark F (the
-//     horizon of the last replayed round). Because F is the minimum of
-//     all SM clocks and clocks only advance, a gated SM's clock equals F
-//     exactly when the gate opens — every store from cycles < F is
-//     applied and every later store still buffered, which is the
-//     sequential memory image at that cycle.
+//     for bandwidth and cache state.
 //   - Dispatch. Retiring the last warp of a CTA frees SM resources and
 //     pulls new CTAs from the launch-wide dispatch cursors. The SM
 //     freezes (held) at the retire cycle and logs an event; the
 //     coordinator performs the retire and refill at the recorded cycle
 //     during replay, in global order, so CTA placement matches the
 //     sequential schedule. Partial retires (other warps of the CTA still
-//     live) touch only CTA-local state and happen in place.
-//   - Faults. A functional fault freezes the SM and logs the error; the
-//     coordinator surfaces the fault of the globally earliest (cycle,
-//     SM) — the one the sequential loop would have hit — and discards
-//     the rest.
+//     live) touch only CTA-local state and happen in place. A refill
+//     that finds the kernel's producer failed ends the launch with the
+//     producer's error.
+//   - Faults. A stream that cannot be decoded freezes the SM and logs
+//     the error; the coordinator returns the fault of the globally
+//     earliest (cycle, SM) — the one the sequential loop would have hit
+//     — and discards the rest.
 //
 // The coordinator's horizon H is the minimum SM clock; events strictly
 // below H are complete (every SM has simulated past them) and replay in
@@ -72,24 +61,22 @@ import (
 
 // epochEvent is one buffered step awaiting coordinator replay.
 type epochEvent struct {
-	kind    uint8
-	store   bool // evMem: priced as a store (global/local store ops)
-	parked  bool // evMem: this event parked its warp; replay must wake it
-	space   isa.Space
-	cycle   uint64  // issue cycle, global order key
-	w       *warpRT // evMem: issuing warp; evRetire: the exiting warp
-	cta     int     // evMem: CTA index for the sharing tracker
-	off     int     // evMem: coalesced line range in the SM's slab
-	end     int
-	nStores int   // deferred stores to flush with this event
-	err     error // evFault
+	kind   uint8
+	store  bool // evMem: priced as a store (global/local store ops)
+	parked bool // evMem: this event parked its warp; replay must wake it
+	space  isa.Space
+	cycle  uint64  // issue cycle, global order key
+	w      *warpRT // evMem: issuing warp; evRetire: the exiting warp
+	cta    int     // evMem: CTA index for the sharing tracker
+	off    int     // evMem: coalesced line range in the SM's slab
+	end    int
+	err    error // evFault
 }
 
 const (
 	evMem    uint8 = iota // replay lines through the memory system
-	evFlush               // stores outside a shared-memory step (param space)
 	evRetire              // full-CTA retire: dispatch cursors + refill
-	evFault               // functional fault at the recorded cycle
+	evFault               // undecodable stream at the recorded cycle
 )
 
 // epochSM is one SM's epoch-execution state: its local clock, its event
@@ -102,12 +89,10 @@ type epochSM struct {
 	head  int
 	slab  []uint64 // line storage backing queued evMem events
 
-	coal    coalescer // per-SM: ms.coal belongs to the serialized paths
-	step    issuedStep
-	parked  int  // warps blocked awaiting coordinator pricing
-	held    bool // frozen at a full retire or fault until replayed
-	gated   bool // frozen at the store-visibility watermark (live mode)
-	bufMark int  // store-buffer entries already attributed to events
+	coal   coalescer // per-SM: ms.coal belongs to the serialized paths
+	step   issuedStep
+	parked int  // warps blocked awaiting coordinator pricing
+	held   bool // frozen at a full retire or fault until replayed
 }
 
 // runEpoch executes the launch with SMs sharded across workers (worker w
@@ -124,33 +109,23 @@ func (ls *launchState) runEpoch(workers, epoch int) error {
 		shards[w] = newStatsSink(&ls.g.cfg, len(ls.specs))
 	}
 
-	// Defer device stores per SM; CTAs already placed by the initial fill
-	// need their environments rewired.
-	for _, sm := range ls.sms {
-		sm.storeBuf = &isa.StoreBuffer{}
-		for _, w := range sm.warps {
-			w.cta.cta.Env.StoreBuf = sm.storeBuf
-		}
-	}
-
 	eps := make([]*epochSM, nsm)
 	for i, sm := range ls.sms {
 		eps[i] = &epochSM{sm: sm, coal: newCoalescer(&ls.g.cfg)}
 	}
-	gateMask := ls.epochGateMask()
 
 	var (
 		bar     = newSpinBarrier(workers)
 		wg      sync.WaitGroup
 		stopped bool  // written by the coordinator inside its exclusive window
-		runErr  error // deadlock: returned, as in run()
-		execErr error // functional fault: re-panicked, as in run()
+		runErr  error // deadlock, as in run()
+		execErr error // undecodable stream or failed producer, as in run()
 
-		// Shared clocks, written by the coordinator in its exclusive
+		// The coordinator's clocks. target is written in its exclusive
 		// window and read by workers after the barrier (the barrier's
 		// atomics provide the happens-before edges).
-		flushedTo uint64          // F: every event below is replayed
-		target    = uint64(epoch) // workers advance toward this cycle
+		replayedTo uint64          // every event below is replayed
+		target     = uint64(epoch) // workers advance toward this cycle
 	)
 	lo := ls.lo
 	if lo != nil {
@@ -176,7 +151,7 @@ func (ls *launchState) runEpoch(workers, epoch int) error {
 
 	phaseA := func(wid int) {
 		for s := wid; s < nsm; s += workers {
-			ls.advanceEpochSM(eps[s], s, shards[wid], gateMask, flushedTo, target)
+			ls.advanceEpochSM(eps[s], s, shards[wid], target)
 		}
 	}
 
@@ -210,9 +185,9 @@ func (ls *launchState) runEpoch(workers, epoch int) error {
 		processed, finished := ls.replayEpochEvents(eps, horizon, &execErr)
 		if lo != nil {
 			lo.barrierCrossings++
-			lo.roundHist.Observe(horizon - flushedTo)
+			lo.roundHist.Observe(horizon - replayedTo)
 		}
-		flushedTo = horizon
+		replayedTo = horizon
 		switch {
 		case execErr != nil || finished:
 			stopped = true
@@ -251,7 +226,7 @@ func (ls *launchState) runEpoch(workers, epoch int) error {
 	}
 	wg.Wait()
 	if execErr != nil {
-		panic(execErr)
+		return execErr
 	}
 	if runErr != nil {
 		return runErr
@@ -274,15 +249,9 @@ func (ls *launchState) runEpoch(workers, epoch int) error {
 // nearest freeze bound) on purely SM-local state, logging everything that
 // needs the launch-global memory system. Runs concurrently across shards;
 // it touches only the SM, its warps/CTAs, and the worker's stats shard.
-func (ls *launchState) advanceEpochSM(ep *epochSM, si int, sink statsSink, gateMask uint32, flushedTo, target uint64) {
+func (ls *launchState) advanceEpochSM(ep *epochSM, si int, sink statsSink, target uint64) {
 	if ep.held {
 		return
-	}
-	if ep.gated {
-		if ep.now > flushedTo {
-			return
-		}
-		ep.gated = false
 	}
 	sm := ep.sm
 	lo := ls.lo
@@ -319,26 +288,12 @@ func (ls *launchState) advanceEpochSM(ep *epochSM, si int, sink statsSink, gateM
 			ep.now = stop
 			continue
 		}
-		rr := sm.rr
 		w := ls.g.sched.pick(sm, now)
 		if w == nil {
 			if lo != nil {
 				lo.stallWarp[si]++
 			}
 			continue // pick recorded sm.skipUntil; next iteration jumps
-		}
-		if gateMask != 0 && now > flushedTo && gatedWarp(w, gateMask) {
-			// The warp would read a space with stores possibly in flight.
-			// Undo the pick (its only success side effect is the cursor)
-			// and freeze at now until the flush watermark catches up; the
-			// retry re-picks the same warp, since warps unparked meanwhile
-			// have readyAt past this cycle.
-			sm.rr = rr
-			ep.gated = true
-			if lo != nil {
-				lo.epochGates[si]++
-			}
-			return
 		}
 		if err := ls.execWarp(sm, w, sink, &ep.step, now); err != nil {
 			ep.queue = append(ep.queue, epochEvent{kind: evFault, cycle: now, err: err})
@@ -355,17 +310,12 @@ func (ls *launchState) advanceEpochSM(ep *epochSM, si int, sink statsSink, gateM
 			}
 		} else {
 			ls.settleTiming(sm, &ep.step, now)
-			if n := sm.storeBuf.Len() - ep.bufMark; n > 0 {
-				// A deferred store outside a memory-system step (parameter
-				// space): no pricing needed, but visibility order is.
-				ep.bufMark = sm.storeBuf.Len()
-				ep.queue = append(ep.queue, epochEvent{kind: evFlush, cycle: now, nStores: n})
-			}
 		}
 		if w.done && !w.retired {
 			if w.cta.live > 1 {
-				// Partial retire: only CTA-local state, safe in place.
-				ls.retire(sm, w, now)
+				// Partial retire: only CTA-local state, safe in place; it
+				// never refills, so it cannot fail.
+				_ = ls.retire(sm, w, now)
 			} else {
 				ep.queue = append(ep.queue, epochEvent{kind: evRetire, cycle: now, w: w})
 				ep.held = true
@@ -395,11 +345,9 @@ func (ls *launchState) logEpochMem(ep *epochSM, si int, w *warpRT, now uint64) u
 	sm.issueFreeAt = now + ep.step.issue + uint64(len(lines)-1)
 	off := len(ep.slab)
 	ep.slab = append(ep.slab, lines...)
-	n := sm.storeBuf.Len() - ep.bufMark
-	ep.bufMark = sm.storeBuf.Len()
 	ep.queue = append(ep.queue, epochEvent{
 		kind: evMem, store: store, space: space, cycle: now, w: w,
-		cta: w.cta.cta.Index, off: off, end: len(ep.slab), nStores: n,
+		cta: w.cta.index, off: off, end: len(ep.slab),
 	})
 	if store && space != isa.SpaceConst && space != isa.SpaceTex {
 		w.readyAt = now + uint64(ls.g.cfg.ALULatency)
@@ -427,9 +375,9 @@ func (ls *launchState) logEpochMem(ep *epochSM, si int, w *warpRT, now uint64) u
 // replayEpochEvents merges the per-SM logs and replays every event
 // strictly below the horizon in (cycle, SM index, log order) — the
 // sequential loop's visit order — through the caches, DRAM channels,
-// sharing tracker, store buffers and dispatch cursors. Returns how many
-// events it replayed and whether the launch finished (last CTA retired,
-// or — with execErr set — a fault surfaced).
+// sharing tracker and dispatch cursors. Returns how many events it
+// replayed and whether the launch finished (last CTA retired, or — with
+// execErr set — a fault surfaced).
 func (ls *launchState) replayEpochEvents(eps []*epochSM, horizon uint64, execErr *error) (processed int, finished bool) {
 	for {
 		// Linear scan of the queue heads: SM counts are small (≤ 30 here)
@@ -455,10 +403,6 @@ func (ls *launchState) replayEpochEvents(eps []*epochSM, horizon uint64, execErr
 		case evMem:
 			lat := ls.ms.priceLines(ev.cycle, sm.caches, ev.cta, ev.space, ev.store,
 				ep.slab[ev.off:ev.end], ls.sink.g)
-			if ev.nStores > 0 {
-				sm.storeBuf.FlushN(ev.nStores)
-				ep.bufMark -= ev.nStores
-			}
 			if w := ev.w; ev.parked {
 				w.parked = false
 				w.blocked = w.done || w.retired || w.barrier
@@ -467,11 +411,11 @@ func (ls *launchState) replayEpochEvents(eps []*epochSM, horizon uint64, execErr
 				sm.skipUntil = 0 // the unparked warp may beat the skip bound
 				ep.parked--
 			}
-		case evFlush:
-			sm.storeBuf.FlushN(ev.nStores)
-			ep.bufMark -= ev.nStores
 		case evRetire:
-			ls.retire(sm, ev.w, ev.cycle)
+			if err := ls.retire(sm, ev.w, ev.cycle); err != nil {
+				*execErr = err
+				return processed, true
+			}
 			ep.held = false
 			if ls.pending == 0 {
 				// Keep draining: remaining events are same-cycle stores
@@ -481,7 +425,7 @@ func (ls *launchState) replayEpochEvents(eps []*epochSM, horizon uint64, execErr
 			}
 		case evFault:
 			// The globally earliest fault in (cycle, SM) order is the one
-			// the sequential loop would panic on; everything after it is
+			// the sequential loop would return; everything after it is
 			// speculative and discarded.
 			*execErr = ev.err
 			return processed, true
@@ -523,62 +467,12 @@ func smNextIssue(sm *smRT, now uint64) uint64 {
 	return best
 }
 
-// gatedWarp reports whether issuing the warp now could observe device
-// memory ahead of the flush watermark: its next instruction reads a
-// space some live kernel stores to. Replay warps never touch functional
-// memory; a warp the gate cannot inspect — the reference interpreter's,
-// under the GPU.refInterp test hook — gates conservatively.
-func gatedWarp(w *warpRT, gateMask uint32) bool {
-	if w.cta.spec.trace != nil {
-		return false
-	}
-	lw, ok := w.w.(*isa.Warp)
-	if !ok {
-		return true
-	}
-	in := lw.Peek()
-	if in == nil {
-		return false
-	}
-	switch in.Op {
-	case isa.OpLd, isa.OpLdF, isa.OpAtom:
-		return gateMask&(1<<uint(in.Space)) != 0
-	}
-	return false
-}
-
-// epochGateMask returns a bitmask over isa.Space of the deferred spaces
-// any live (non-replay) kernel in the launch stores to. Loads from those
-// spaces can observe cross-SM stores, so live-mode SMs must not issue
-// them past the flush watermark. Replayed kernels contribute nothing —
-// their warps never read functional memory — so pure replay runs with an
-// empty mask and epochs at full length.
-func (ls *launchState) epochGateMask() uint32 {
-	var mask uint32
-	for _, sp := range ls.specs {
-		if sp.trace != nil {
-			continue
-		}
-		for i := range sp.k.Instrs {
-			in := &sp.k.Instrs[i]
-			switch in.Op {
-			case isa.OpSt, isa.OpStF, isa.OpAtom:
-				if isa.DeferredSpace(in.Space) {
-					mask |= 1 << uint(in.Space)
-				}
-			}
-		}
-	}
-	return mask
-}
-
 // epochAllFree reports whether no SM is waiting on coordinator action —
-// no parked warps, no retire/fault holds, no visibility gates — so an
-// eventless round really means the launch is idle until the next ready
-// cycle.
+// no parked warps, no retire/fault holds — so an eventless round really
+// means the launch is idle until the next ready cycle.
 func epochAllFree(eps []*epochSM) bool {
 	for _, ep := range eps {
-		if ep.parked > 0 || ep.held || ep.gated {
+		if ep.parked > 0 || ep.held {
 			return false
 		}
 	}

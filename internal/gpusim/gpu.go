@@ -2,6 +2,7 @@ package gpusim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -10,14 +11,18 @@ import (
 // kernel under the timing model and accumulates into Stats. Per-SM caches,
 // the L2 and the sharing tracker persist across launches, as on hardware.
 //
-// The timing core is assembled from pluggable components, each in its own
-// file: a warp scheduler (scheduler.go), a memory subsystem — coalescer,
-// bank-conflict model, cache hierarchy — (memsys.go), and a DRAM-channel
-// model (dram.go). Configuration differences such as Fermi vs. GT200 are
-// expressed as component wiring, not branches in the event loop
-// (launch.go). Setting Config.ShardWorkers > 1 simulates SMs on worker
-// goroutines with the epoch-parallel engine, whose results are
-// bit-identical to the sequential loop's (epoch.go).
+// A launch runs functional-first: each kernel executes on a producer
+// goroutine that records its warps' streams CTA by CTA (feed.go), and the
+// timing loop replays those streams as they arrive, exactly as it
+// replays a stored trace (trace.go). The timing core is assembled from
+// pluggable components, each in its own file: a warp scheduler
+// (scheduler.go), a memory subsystem — coalescer, bank-conflict model,
+// cache hierarchy — (memsys.go), and a DRAM-channel model (dram.go).
+// Configuration differences such as Fermi vs. GT200 are expressed as
+// component wiring, not branches in the event loop (launch.go). Setting
+// Config.ShardWorkers > 1 simulates SMs on worker goroutines with the
+// epoch-parallel engine, whose results are bit-identical to the
+// sequential loop's (epoch.go).
 type GPU struct {
 	cfg   Config
 	Stats *Stats
@@ -31,11 +36,12 @@ type GPU struct {
 	// into a RunTrace for later replay (trace.go).
 	capture *TraceBuilder
 
-	// refInterp is a test-only validation hook: live warps run on the
-	// retained per-thread reference interpreter (isa.RefWarp) instead of
-	// the optimized one. Results must be bit-identical; the package's
-	// reference differential pins that across all twelve benchmarks.
-	// Replayed warps never execute, so replay ignores it.
+	// refInterp is a test-only validation hook: the producers (feed.go)
+	// run kernels on the retained per-thread reference interpreter
+	// (isa.RefWarp) instead of the optimized one. Results must be
+	// bit-identical; the package's reference differential pins that
+	// across all twelve benchmarks. Replay executes no kernel, so it
+	// ignores the hook.
 	refInterp bool
 
 	// obsC, when non-nil, is the cached set of registry instruments the
@@ -95,18 +101,34 @@ func (g *GPU) Launch(k *isa.Kernel, launch isa.Launch, mem *isa.Memory) error {
 // future work. CTAs from all kernels are dispatched round-robin onto SMs
 // under the per-SM thread/register/shared-memory budgets, so kernels with
 // complementary resource appetites overlap.
+//
+// Each kernel executes functionally on a producer goroutine ahead of the
+// timing loop (feed.go); kernels that share a Memory share one producer
+// and run in spec order. LaunchConcurrent returns once the timing loop
+// and every producer have finished, so the caller may read device memory
+// and Stats right away. A fault or panic in a kernel is returned as an
+// error.
 func (g *GPU) LaunchConcurrent(specs []LaunchSpec) error {
 	if len(specs) == 0 {
 		return fmt.Errorf("gpusim: no kernels to launch")
 	}
-	rss := make([]*runSpec, 0, len(specs))
+	rss := make([]*runSpec, len(specs))
 	for i, spec := range specs {
-		rss = append(rss, &runSpec{
-			idx: i, k: spec.Kernel, launch: spec.Launch, mem: spec.Mem,
-			kStats: NewStats(g.cfg.Name),
-		})
+		err := g.admit(spec.Kernel, spec.Launch)
+		var rec *isa.LaunchRecorder
+		if err == nil {
+			rec, err = isa.NewLaunchRecorder(spec.Kernel, spec.Launch)
+		}
+		if err != nil {
+			g.failCapture(err)
+			return err
+		}
+		rss[i] = &runSpec{
+			idx: i, k: spec.Kernel, launch: spec.Launch, kStats: NewStats(g.cfg.Name),
+			trace: rec.Trace(), feed: newCTAFeed(rec, spec.Launch.Grid),
+		}
 	}
-	var rec *isa.LaunchRecorder
+	keep := false
 	if g.capture != nil {
 		// Only single-kernel launches are replayable: concurrent kernels
 		// share the dispatch cursors, so their CTA placement is coupled in
@@ -115,32 +137,69 @@ func (g *GPU) LaunchConcurrent(specs []LaunchSpec) error {
 			g.capture.invalidate(fmt.Sprintf("concurrent launch of %d kernels", len(specs)))
 		} else if usesAtomics(specs[0].Kernel) {
 			g.capture.invalidate(fmt.Sprintf("kernel %s uses atomics", specs[0].Kernel.Name))
-		} else if r, err := isa.NewLaunchRecorder(specs[0].Kernel, specs[0].Launch); err != nil {
-			g.capture.invalidate(err.Error())
 		} else {
-			rec = r
-			rss[0].rec = rec
+			keep = true
 		}
 	}
-	if err := g.runLaunch(rss); err != nil {
-		if g.capture != nil {
-			g.capture.invalidate("launch failed: " + err.Error())
+	for i := range specs {
+		if slices.ContainsFunc(specs[:i], func(o LaunchSpec) bool { return o.Mem == specs[i].Mem }) {
+			continue // an earlier spec's producer runs this kernel
 		}
+		go func() {
+			for j := i; j < len(specs); j++ {
+				if specs[j].Mem == specs[i].Mem {
+					rss[j].feed.produce(specs[j], g.refInterp)
+				}
+			}
+		}()
+	}
+	defer func() {
+		// However the launch ends, its producers end with it.
+		for _, sp := range rss {
+			sp.feed.finish()
+			sp.feed.rec.Release()
+		}
+	}()
+	if err := g.runLaunch(rss); err != nil {
+		g.failCapture(err)
 		return err
 	}
-	if rec != nil {
-		g.capture.add(rec.Finalize())
+	if keep {
+		f := rss[0].feed
+		f.finish()
+		g.capture.add(f.rec.Finalize())
+	}
+	return nil
+}
+
+// failCapture invalidates an attached capture after a failed launch.
+func (g *GPU) failCapture(err error) {
+	if g.capture != nil {
+		g.capture.invalidate("launch failed: " + err.Error())
+	}
+}
+
+// admit checks a launch's geometry and that one of its CTAs fits on an
+// SM.
+func (g *GPU) admit(k *isa.Kernel, launch isa.Launch) error {
+	if err := launch.Validate(); err != nil {
+		return err
+	}
+	if g.CTAsPerSM(k, launch.Block) == 0 {
+		return fmt.Errorf("gpusim: kernel %s (regs=%d shared=%d block=%d) exceeds SM resources of %s",
+			k.Name, k.Regs(), k.SharedBytes, launch.Block, g.cfg.Name)
 	}
 	return nil
 }
 
 // runLaunch simulates one (possibly concurrent) launch whose runSpecs are
-// already built — from live LaunchSpecs or from a recorded trace — and
+// already admitted — fed by producers or from a recorded trace — and
 // accumulates its statistics.
 func (g *GPU) runLaunch(rss []*runSpec) error {
 	d := newDRAM(&g.cfg)
 	ls := &launchState{
 		g:      g,
+		specs:  rss,
 		dram:   d,
 		ms:     newMemSubsystem(&g.cfg, g.l2, d, g.sharing),
 		issueC: g.cfg.issueCycles(),
@@ -150,14 +209,6 @@ func (g *GPU) runLaunch(rss []*runSpec) error {
 		d.lo = ls.lo
 	}
 	for _, sp := range rss {
-		if err := sp.launch.Validate(); err != nil {
-			return err
-		}
-		if g.CTAsPerSM(sp.k, sp.launch.Block) == 0 {
-			return fmt.Errorf("gpusim: kernel %s (regs=%d shared=%d block=%d) exceeds SM resources of %s",
-				sp.k.Name, sp.k.Regs(), sp.k.SharedBytes, sp.launch.Block, g.cfg.Name)
-		}
-		ls.specs = append(ls.specs, sp)
 		ls.pending += sp.launch.Grid
 	}
 	for i := 0; i < g.cfg.NumSMs; i++ {
@@ -171,7 +222,9 @@ func (g *GPU) runLaunch(rss []*runSpec) error {
 	snap := g.cacheSnapshot()
 
 	for _, sm := range ls.sms {
-		ls.fill(sm, ls.now)
+		if err := ls.fill(sm, ls.now); err != nil {
+			return err
+		}
 	}
 	var err error
 	if w := g.shardWorkers(); w > 1 {

@@ -529,6 +529,31 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigBounds rejects values past each documented bound, including
+// the ones that would allocate without bound (DRAM channels, caches) or
+// index past the bank model's scratch, and a zero clock.
+func TestConfigBounds(t *testing.T) {
+	for name, mutate := range map[string]func(*Config){
+		"channels 1e9":    func(c *Config) { c.MemChannels = 1_000_000_000 },
+		"64 banks":        func(c *Config) { c.SharedBanks = 64 },
+		"zero core clock": func(c *Config) { c.CoreClockMHz = 0 },
+		"2048 SMs":        func(c *Config) { c.NumSMs = 2048 },
+		"1 GiB L2":        func(c *Config) { c.L2CacheKB = 1 << 20 },
+		"cache lines":     func(c *Config) { c.NumSMs, c.L1CacheKB = 1024, 4096 },
+		"negative L1":     func(c *Config) { c.L1CacheKB = -1 },
+		"SIMD width 0":    func(c *Config) { c.SIMDWidth = 0 },
+	} {
+		c := Base()
+		mutate(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+		if _, err := New(c); err == nil {
+			t.Errorf("%s: New accepted it", name)
+		}
+	}
+}
+
 func TestCacheLRU(t *testing.T) {
 	c := newCache(1, 2, 64) // 1 kB, 2-way, 64 B lines -> 8 sets
 	if c.access(0) {

@@ -7,9 +7,8 @@ import (
 )
 
 type warpRT struct {
-	w       isa.WarpExec
+	w       *isa.ReplayWarp
 	cta     *ctaRT
-	env     *isa.Env // == cta.cta.Env, cached off the per-step path
 	readyAt uint64
 	retired bool
 
@@ -38,15 +37,10 @@ type warpRT struct {
 	// epoch mode.
 	parked    bool
 	parkBound uint64
-
-	// rec, when non-nil, records every step the warp executes for later
-	// replay (trace.go). A warp belongs to exactly one SM, so recording
-	// needs no synchronization even on the shard-parallel path.
-	rec *isa.WarpRecorder
 }
 
 type ctaRT struct {
-	cta     *isa.CTA
+	index   int // the CTA's index in its launch's grid
 	spec    *runSpec
 	sm      *smRT // the SM the CTA is resident on
 	warps   []*warpRT
@@ -75,12 +69,6 @@ type smRT struct {
 	// whenever a warp's readiness changes outside settleTiming: barrier
 	// release and CTA placement.
 	skipUntil uint64
-
-	// storeBuf, when non-nil, defers the SM's device-memory stores so the
-	// epoch engine can execute SMs concurrently; the coordinator flushes
-	// them in global issue order as it replays the epoch logs. Nil on the
-	// sequential path, where stores apply immediately.
-	storeBuf *isa.StoreBuffer
 
 	// Per-SM resource accounting, so CTAs of different kernels can share
 	// an SM under concurrent execution.
@@ -137,20 +125,20 @@ type LaunchSpec struct {
 	Mem    *isa.Memory
 }
 
-// runSpec is a LaunchSpec plus its dispatch cursor and per-kernel stats.
-// Exactly one of three execution modes applies: live execution (mem set),
-// trace capture (mem and rec set), or trace replay (trace set, mem nil —
-// replay never touches benchmark memory).
+// runSpec is one kernel of a launch: its dispatch cursor, per-kernel
+// stats, and the recorded streams its warps replay. A live launch's
+// trace fills in CTA by CTA as its producer publishes them (feed, see
+// feed.go); a replayed launch's trace is complete and feed is nil.
+// Either way the timing loop never touches benchmark memory.
 type runSpec struct {
 	idx     int
 	k       *isa.Kernel
 	launch  isa.Launch
-	mem     *isa.Memory
 	kStats  *Stats
 	nextCTA int
 
-	rec   *isa.LaunchRecorder
 	trace *isa.LaunchTrace
+	feed  *ctaFeed
 }
 
 // statsSink is where one execution stream accumulates counters: the
@@ -207,8 +195,10 @@ type launchState struct {
 // fill assigns pending CTAs round-robin across kernels to an SM while its
 // resource budgets allow. now is the SM's current cycle — the launch
 // clock on the sequential path, the SM-local retire cycle on the epoch
-// path — and fresh warps become ready at it.
-func (ls *launchState) fill(sm *smRT, now uint64) {
+// path — and fresh warps become ready at it. On a live launch it first
+// waits for the CTA's producer to publish it, and fails if the producer
+// failed.
+func (ls *launchState) fill(sm *smRT, now uint64) error {
 	for {
 		placed := false
 		for i := 0; i < len(ls.specs); i++ {
@@ -216,31 +206,24 @@ func (ls *launchState) fill(sm *smRT, now uint64) {
 			if sp.nextCTA >= sp.launch.Grid || !sm.fits(&ls.g.cfg, sp) {
 				continue
 			}
-			ls.rrSpec = (ls.rrSpec + i + 1) % len(ls.specs)
-			var cta *isa.CTA
-			switch {
-			case sp.trace != nil:
-				cta = isa.MakeReplayCTA(sp.trace, sp.nextCTA)
-			case ls.g.refInterp:
-				cta = isa.MakeCTARef(sp.k, sp.nextCTA, sp.launch, sp.mem)
-			default:
-				cta = isa.MakeCTA(sp.k, sp.nextCTA, sp.launch, sp.mem)
+			if sp.feed != nil {
+				if err := sp.feed.await(sp.nextCTA); err != nil {
+					return err
+				}
 			}
-			cta.Env.StoreBuf = sm.storeBuf
+			ls.rrSpec = (ls.rrSpec + i + 1) % len(ls.specs)
+			cta := isa.MakeReplayCTA(sp.trace, sp.nextCTA)
 			sp.nextCTA++
-			rt := &ctaRT{cta: cta, spec: sp, sm: sm}
+			rt := &ctaRT{index: cta.Index, spec: sp, sm: sm}
 			// One contiguous warpRT block per CTA: the scheduler scans
 			// these structs every cycle, and adjacency keeps the scan on
 			// few cache lines.
 			wrts := make([]warpRT, len(cta.Warps))
 			for i, w := range cta.Warps {
 				wrt := &wrts[i]
-				wrt.w, wrt.cta, wrt.env, wrt.readyAt = w, rt, cta.Env, now
+				wrt.w, wrt.cta, wrt.readyAt = w.(*isa.ReplayWarp), rt, now
 				wrt.done = w.Done()
 				wrt.blocked = wrt.done
-				if sp.rec != nil {
-					wrt.rec = sp.rec.Warp(cta.Index, i)
-				}
 				rt.warps = append(rt.warps, wrt)
 				if !wrt.done {
 					rt.live++
@@ -259,7 +242,7 @@ func (ls *launchState) fill(sm *smRT, now uint64) {
 			break
 		}
 		if !placed {
-			return
+			return nil
 		}
 	}
 }
@@ -287,9 +270,7 @@ func (ls *launchState) run() error {
 			}
 			ok, err := ls.execOne(sm, ls.sink, &step, ls.now)
 			if err != nil {
-				// Functional faults are kernel bugs; surface them loudly
-				// rather than silently corrupting the run.
-				panic(err)
+				return err
 			}
 			if !ok {
 				if lo != nil {
@@ -301,7 +282,11 @@ func (ls *launchState) run() error {
 				ls.priceShared(sm, &step, ls.now)
 			}
 			ls.settleTiming(sm, &step, ls.now)
-			ls.maybeRetire(sm, step.w, ls.now)
+			if w := step.w; w.done && !w.retired {
+				if err := ls.retire(sm, w, ls.now); err != nil {
+					return err
+				}
+			}
 			if lo != nil {
 				lo.busy[si]++
 			}
@@ -371,9 +356,9 @@ func (ls *launchState) nextEvent() (uint64, bool) {
 	return best, found
 }
 
-// execOne asks the scheduler for a warp on the SM, executes one warp
-// instruction functionally, and charges everything that depends only on
-// SM-local state into the sink: instruction/occupancy counters,
+// execOne asks the scheduler for a warp on the SM, replays one warp
+// instruction, and charges everything that depends only on SM-local
+// state into the sink: instruction/occupancy counters,
 // ALU/SFU/control pricing, barrier arrival, and the SM-private memory
 // spaces (parameter, shared). Memory instructions that route through the
 // launch-global memory system are returned with mem=true for the caller
@@ -390,30 +375,15 @@ func (ls *launchState) execOne(sm *smRT, sink statsSink, out *issuedStep, now ui
 	return true, ls.execWarp(sm, w, sink, out, now)
 }
 
-// execWarp is execOne past warp selection: it executes one instruction
-// of w and settles every SM-local charge. The epoch path calls it
-// directly after its own pick-and-gate step, concurrently for SMs on
-// different shards, each shard with its own sink; now is then the SM's
-// local clock.
+// execWarp is execOne past warp selection: it decodes w's next recorded
+// instruction and settles every SM-local charge. The epoch path calls it
+// directly after its own pick, concurrently for SMs on different shards,
+// each shard with its own sink; now is then the SM's local clock. Its
+// only error is a stream that cannot be decoded.
 func (ls *launchState) execWarp(sm *smRT, w *warpRT, sink statsSink, out *issuedStep, now uint64) error {
 	st := &out.st
-	// Devirtualize the two hot executors: this call runs once per warp
-	// instruction and the concrete types let the branch predictor skip
-	// the itab indirection.
-	var err error
-	switch ex := w.w.(type) {
-	case *isa.ReplayWarp:
-		err = ex.Exec(w.env, st)
-	case *isa.Warp:
-		err = ex.Exec(w.env, st)
-	default:
-		err = w.w.Exec(w.env, st)
-	}
-	if err != nil {
+	if err := w.w.Exec(nil, st); err != nil {
 		return err
-	}
-	if w.rec != nil {
-		w.rec.Record(st)
 	}
 	out.w = w
 	out.mem = false
@@ -479,7 +449,7 @@ func (ls *launchState) execWarp(sm *smRT, w *warpRT, sink statsSink, out *issued
 // they accompany is launch-global.
 func (ls *launchState) priceShared(sm *smRT, step *issuedStep, now uint64) {
 	step.issue, step.lat = ls.ms.sharedCost(
-		now, sm.caches, step.w.cta.cta.Index, &step.st, step.issue, ls.sink.g)
+		now, sm.caches, step.w.cta.index, &step.st, step.issue, ls.sink.g)
 }
 
 // settleTiming applies an issued step's charges to the SM and warp.
@@ -487,15 +457,6 @@ func (ls *launchState) settleTiming(sm *smRT, step *issuedStep, now uint64) {
 	sm.issueFreeAt = now + step.issue
 	step.w.readyAt = now + step.lat
 	sm.syncReady(step.w)
-}
-
-// maybeRetire retires the warp's CTA slot if it just finished. Mutates
-// launch-global dispatch state (pending, rrSpec, CTA cursors), so the
-// epoch engine defers full-CTA retires to the coordinator's replay.
-func (ls *launchState) maybeRetire(sm *smRT, w *warpRT, now uint64) {
-	if w.done && !w.retired {
-		ls.retire(sm, w, now)
-	}
 }
 
 func (ls *launchState) barrier(w *warpRT, now uint64) {
@@ -523,7 +484,12 @@ func (ls *launchState) checkRelease(cta *ctaRT, now uint64) {
 	cta.sm.skipUntil = 0 // released warps may issue next cycle
 }
 
-func (ls *launchState) retire(sm *smRT, w *warpRT, now uint64) {
+// retire retires a finished warp, and its CTA once no warp of it is live:
+// that frees the CTA's resources and refills the SM. The full retire
+// mutates launch-global dispatch state (pending, rrSpec, CTA cursors), so
+// the epoch engine defers it to the coordinator's replay. Only the refill
+// can fail (fill).
+func (ls *launchState) retire(sm *smRT, w *warpRT, now uint64) error {
 	w.retired = true
 	w.blocked = true
 	sm.syncReady(w)
@@ -532,7 +498,7 @@ func (ls *launchState) retire(sm *smRT, w *warpRT, now uint64) {
 	if cta.live > 0 {
 		// A warp exited while others were waiting at a barrier.
 		ls.checkRelease(cta, now)
-		return
+		return nil
 	}
 	// CTA complete: free its resources, compact the warp list, refill.
 	ls.pending--
@@ -556,5 +522,5 @@ func (ls *launchState) retire(sm *smRT, w *warpRT, now uint64) {
 	if sm.rr >= len(sm.warps) {
 		sm.rr = 0
 	}
-	ls.fill(sm, now)
+	return ls.fill(sm, now)
 }

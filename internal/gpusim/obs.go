@@ -35,7 +35,6 @@ type launchObs struct {
 	// Per-SM, epoch path only (epoch.go); same ownership rule as above.
 	epochParks []uint64 // loads parked awaiting coordinator pricing
 	epochHolds []uint64 // SM freezes at a full-CTA retire
-	epochGates []uint64 // SM stalls at the store-visibility watermark
 
 	// Per-worker, indexed by worker id; allocated by the epoch engine at
 	// launch start and written only by the owning worker. Sampled
@@ -64,7 +63,6 @@ func newLaunchObs(numSMs int, c *gpuCounters) *launchObs {
 		stallWarp:  make([]uint64, numSMs),
 		epochParks: make([]uint64, numSMs),
 		epochHolds: make([]uint64, numSMs),
-		epochGates: make([]uint64, numSMs),
 		waitHist:   c.waitHist,
 		roundHist:  c.roundHist,
 	}
@@ -93,7 +91,7 @@ type gpuCounters struct {
 
 	barrierWaitNs, barrierCrossings *obs.Counter
 
-	epochRounds, epochParks, epochHolds, epochGates *obs.Counter
+	epochRounds, epochParks, epochHolds *obs.Counter
 
 	waitHist  *obs.Histogram
 	roundHist *obs.Histogram
@@ -115,7 +113,6 @@ func newGPUCounters(r *obs.Registry, numSMs int) *gpuCounters {
 		epochRounds:      r.Counter("gpusim.epoch.rounds"),
 		epochParks:       r.Counter("gpusim.epoch.parked_loads"),
 		epochHolds:       r.Counter("gpusim.epoch.retire_holds"),
-		epochGates:       r.Counter("gpusim.epoch.gate_stops"),
 		waitHist:         r.Histogram("gpusim.barrier.wait_sample_ns"),
 		roundHist:        r.Histogram("gpusim.epoch.round_cycles"),
 	}
@@ -138,7 +135,7 @@ func newGPUCounters(r *obs.Registry, numSMs int) *gpuCounters {
 // per-worker shard-barrier wait (gpusim.barrier.wait_ns summed, raw
 // samples in the gpusim.barrier.wait_sample_ns histogram) and barrier
 // crossings, and the epoch engine's rounds (equal to the crossings),
-// parked loads, retire holds, gate stops and per-round clock advance
+// parked loads, retire holds and per-round clock advance
 // (gpusim.epoch.*).
 func (g *GPU) SetObs(r *obs.Registry) {
 	if r == nil {
@@ -152,7 +149,7 @@ func (g *GPU) SetObs(r *obs.Registry) {
 // derived, not counted: every launch cycle an SM did not issue is idle,
 // so busy+idle equals the launch's cycle count per SM by construction.
 func (c *gpuCounters) flushObs(lo *launchObs, launchCycles uint64) {
-	var port, skip, warp, parks, holds, gates uint64
+	var port, skip, warp, parks, holds uint64
 	for s := range lo.busy {
 		c.busy[s].Add(lo.busy[s])
 		c.idle[s].Add(launchCycles - lo.busy[s])
@@ -162,7 +159,6 @@ func (c *gpuCounters) flushObs(lo *launchObs, launchCycles uint64) {
 		warp += lo.stallWarp[s]
 		parks += lo.epochParks[s]
 		holds += lo.epochHolds[s]
-		gates += lo.epochGates[s]
 	}
 	c.stallPort.Add(port)
 	c.stallSkip.Add(skip)
@@ -182,5 +178,4 @@ func (c *gpuCounters) flushObs(lo *launchObs, launchCycles uint64) {
 	c.epochRounds.Add(lo.barrierCrossings)
 	c.epochParks.Add(parks)
 	c.epochHolds.Add(holds)
-	c.epochGates.Add(gates)
 }

@@ -125,11 +125,11 @@ func benignWriteKernel() *isa.Kernel {
 	return b.Build("benignwrite")
 }
 
-// TestParallelBenignCrossCTAWrites pins the deferred-store path at the
-// default epoch: CTAs on different shards store the same value to the
-// same global address, which must neither race (go test -race runs this)
-// nor perturb results. TestEpochBenignCrossCTAWrites sweeps the other
-// epoch lengths.
+// TestParallelBenignCrossCTAWrites runs the BFS idiom at the default
+// epoch: CTAs on different shards store the same value to the same
+// global address, which must neither race (go test -race runs this) nor
+// perturb results. TestEpochBenignCrossCTAWrites sweeps the other epoch
+// lengths.
 func TestParallelBenignCrossCTAWrites(t *testing.T) {
 	const grid, block = 32, 128
 	run := func(workers int) (*Stats, []int32) {

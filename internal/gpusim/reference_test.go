@@ -10,13 +10,12 @@ import (
 
 // TestGPUStatsMatchReferenceInterpreter is the acceptance differential for
 // the flat-register fast path: for every benchmark at the default size,
-// warps run on the retained per-thread reference interpreter (the
-// refInterp hook) must produce Stats deeply equal to the optimized
-// interpreter's — on the sequential loop, and on the epoch engine, where
-// reference warps run behind gatedWarp's conservative gate. The optimized
-// interpreter's own shard determinism is pinned by internal/core's suite
-// matrix. Run under -race in CI, the sharded leg also proves the
-// reference path race-clean.
+// producers running the retained per-thread reference interpreter (the
+// refInterp hook) must yield Stats deeply equal to the optimized
+// interpreter's — on the sequential loop and on the epoch engine. The
+// optimized interpreter's own shard determinism is pinned by
+// internal/core's suite matrix. Run under -race in CI, the sharded leg
+// also proves the reference producer race-clean.
 func TestGPUStatsMatchReferenceInterpreter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full characterization sweep in -short mode")

@@ -6,14 +6,16 @@ import (
 	"repro/internal/isa"
 )
 
-// Trace capture and replay. A GPU with a TraceBuilder attached (Capture)
-// records the functional half of every launch it runs — per-warp
-// instruction streams, masks and addresses (isa.LaunchTrace) — into a
-// RunTrace. A later GPU built for a *different* timing configuration can
-// Replay the RunTrace: the event loop, scheduler, coalescer, caches and
-// DRAM model all run exactly as in live execution, but warps are
-// isa.ReplayWarp instances fed from the trace, so kernels are never
-// re-executed and no benchmark memory is allocated.
+// Trace capture and replay. Every live launch records its functional
+// half — per-warp instruction streams, masks and addresses
+// (isa.LaunchTrace) — on its producer goroutine, and the timing loop
+// runs on that recording (feed.go). A GPU with a TraceBuilder attached
+// (Capture) keeps each launch's recording, compacted, in a RunTrace
+// instead of dropping it. A later GPU built for a *different* timing
+// configuration can Replay the RunTrace: the event loop, scheduler,
+// coalescer, caches and DRAM model run exactly as in live execution, on
+// the same isa.ReplayWarps, so kernels are never re-executed and no
+// benchmark memory is allocated.
 //
 // Validity. Replay reproduces full execution bit-identically on
 // gpusim.Stats only when the replay configuration cannot change the
@@ -27,27 +29,22 @@ import (
 // count — relies on the functional streams being schedule-independent:
 // a latency change reorders warp issue, so a kernel whose loads observe
 // values concurrently stored by other warps in the same launch could
-// record a stream the new schedule would not produce. The simulator
-// already stakes the epoch engine's bit-identity on exactly this
-// workload invariant (see epoch.go: cross-CTA communication within a
-// launch is absent or benign same-value; synchronization happens between
-// launches through the host), and atomics — the one schedule-visible
-// instruction class — invalidate the trace at capture. Under that
-// invariant the streams are also independent of CTA→SM placement, so
-// traces replay across SM-count and occupancy changes too; the
-// differential tests in internal/core pin bit-identity empirically for
-// every benchmark across the experiment configurations (Figure 4
+// record a stream the new schedule would not produce. Live execution
+// stakes its own bit-identity on exactly this workload invariant (the
+// producer runs CTAs in index order, whatever the timing schedule):
+// cross-CTA communication within a launch is absent or benign
+// same-value, warps of a CTA communicate through barriers, and
+// synchronization between launches happens through the host. Atomics —
+// the one schedule-visible instruction class — invalidate the trace at
+// capture. Under that invariant the streams are also independent of
+// CTA→SM placement, so traces replay across SM-count and occupancy
+// changes too. internal/core pins the invariant for every benchmark by
+// recording under perturbed schedules (schedule_test.go), and pins
+// replay's bit-identity across the experiment configurations (Figure 4
 // channels, Figure 5 architectures, the Plackett-Burman rows).
 //
 // A trace that is not replayable is a normal condition, not an error:
 // callers fall back to full execution.
-//
-// Replay composes with every execution engine, including the
-// epoch-parallel path (epoch.go): replayed warps never read functional
-// memory, so the epoch engine's store-visibility gate never applies to
-// them and replay runs full-length epochs unconditionally — the ideal
-// pairing for multi-configuration sweeps (trace once, replay many, each
-// replay epoch-parallel).
 
 // RunTrace is the functional recording of one benchmark run: every
 // kernel launch the benchmark issued, in order, under the configuration
@@ -126,9 +123,9 @@ func (tb *TraceBuilder) invalidate(reason string) {
 	tb.rt.bytes = 0
 }
 
-// Capture attaches a trace recorder to the GPU: every subsequent launch
-// is recorded into the returned builder's RunTrace alongside normal
-// timing simulation. Recording does not perturb Stats.
+// Capture attaches a trace builder to the GPU: the recording of every
+// subsequent launch is kept in the returned builder's RunTrace. Keeping
+// it does not perturb Stats.
 func (g *GPU) Capture() *TraceBuilder {
 	tb := &TraceBuilder{rt: &RunTrace{cfg: g.cfg}}
 	g.capture = tb
@@ -137,12 +134,21 @@ func (g *GPU) Capture() *TraceBuilder {
 
 // Replay drives the GPU's timing model from a recorded trace instead of
 // executing kernels. It fails up front when the trace is not replayable
-// (see RunTrace.Replayable); it never partially replays.
+// (see RunTrace.Replayable), and returns an error when a launch's
+// recording does not match its geometry or a warp's stream cannot be
+// decoded (a truncated one, say).
 func (g *GPU) Replay(rt *RunTrace) error {
 	if err := rt.Replayable(); err != nil {
 		return err
 	}
 	for _, lt := range rt.launches {
+		if err := g.admit(lt.Kernel, lt.Launch); err != nil {
+			return err
+		}
+		if want := lt.Launch.Grid * lt.WarpsPerCTA(); len(lt.Warps) != want {
+			return fmt.Errorf("gpusim: trace of kernel %s holds %d warp streams, its launch has %d warps",
+				lt.Kernel.Name, len(lt.Warps), want)
+		}
 		sp := &runSpec{
 			idx: 0, k: lt.Kernel, launch: lt.Launch, trace: lt,
 			kStats: NewStats(g.cfg.Name),

@@ -19,15 +19,6 @@ type Env struct {
 	Shared   []byte
 	BlockDim int
 	GridDim  int
-
-	// StoreBuf, when non-nil, defers stores to the launch-wide memory
-	// spaces: Exec records them instead of writing the arena, and the
-	// buffer's owner applies them later via StoreBuffer.Flush. Used by
-	// the shard-parallel timing simulator so concurrent warp execution
-	// never writes arenas shared across SMs. Global atomics cannot be
-	// deferred (their result depends on the in-cycle memory state) and
-	// fault when a buffer is attached.
-	StoreBuf *StoreBuffer
 }
 
 // MemAccess describes one lane's memory access within a warp instruction.
@@ -137,15 +128,6 @@ func (w *Warp) top() *simtEntry {
 	}
 	w.done = true
 	return nil
-}
-
-// Peek returns the next instruction the warp will execute, or nil if done.
-func (w *Warp) Peek() *Instr {
-	e := w.top()
-	if e == nil {
-		return nil
-	}
-	return &w.Kernel.Instrs[e.pc]
 }
 
 // Exec executes one warp instruction, updating architectural state, and
@@ -267,7 +249,6 @@ func (w *Warp) execMem(env *Env, d *dinstr, mask uint32, pc int) error {
 			arena = env.Mem.arena(d.space)
 		}
 	}
-	deferred := env.StoreBuf != nil && deferredSpace(d.space)
 
 	switch d.op {
 	case OpLd:
@@ -330,22 +311,16 @@ func (w *Warp) execMem(env *Env, d *dinstr, mask uint32, pc int) error {
 			if perLane {
 				arena = w.laneLocal(lane)
 			}
-			if deferred {
-				if err := env.StoreBuf.record(arena, addr, mtype, uint64(vv[lane])); err != nil {
-					return w.memFault(d, pc, lane, err)
-				}
-			} else {
-				if int(addr)+size > len(arena) {
-					return w.memFault(d, pc, lane, storeFault(addr, mtype, len(arena)))
-				}
-				switch mtype {
-				case U8:
-					arena[addr] = byte(vv[lane])
-				case I32, F32:
-					binary.LittleEndian.PutUint32(arena[addr:], uint32(vv[lane]))
-				default:
-					binary.LittleEndian.PutUint64(arena[addr:], uint64(vv[lane]))
-				}
+			if int(addr)+size > len(arena) {
+				return w.memFault(d, pc, lane, storeFault(addr, mtype, len(arena)))
+			}
+			switch mtype {
+			case U8:
+				arena[addr] = byte(vv[lane])
+			case I32, F32:
+				binary.LittleEndian.PutUint32(arena[addr:], uint32(vv[lane]))
+			default:
+				binary.LittleEndian.PutUint64(arena[addr:], uint64(vv[lane]))
 			}
 			w.accessBuf = append(w.accessBuf, MemAccess{Lane: lane, Addr: addr, Size: size, Store: true})
 		}
@@ -364,22 +339,16 @@ func (w *Warp) execMem(env *Env, d *dinstr, mask uint32, pc int) error {
 			} else {
 				raw = math.Float64bits(vv[lane])
 			}
-			if deferred {
-				if err := env.StoreBuf.record(arena, addr, mtype, raw); err != nil {
-					return w.memFault(d, pc, lane, err)
-				}
-			} else {
-				if int(addr)+size > len(arena) {
-					return w.memFault(d, pc, lane, storeFault(addr, mtype, len(arena)))
-				}
-				switch mtype {
-				case U8:
-					arena[addr] = byte(raw)
-				case I32, F32:
-					binary.LittleEndian.PutUint32(arena[addr:], uint32(raw))
-				default:
-					binary.LittleEndian.PutUint64(arena[addr:], raw)
-				}
+			if int(addr)+size > len(arena) {
+				return w.memFault(d, pc, lane, storeFault(addr, mtype, len(arena)))
+			}
+			switch mtype {
+			case U8:
+				arena[addr] = byte(raw)
+			case I32, F32:
+				binary.LittleEndian.PutUint32(arena[addr:], uint32(raw))
+			default:
+				binary.LittleEndian.PutUint64(arena[addr:], raw)
 			}
 			w.accessBuf = append(w.accessBuf, MemAccess{Lane: lane, Addr: addr, Size: size, Store: true})
 		}
@@ -391,10 +360,6 @@ func (w *Warp) execMem(env *Env, d *dinstr, mask uint32, pc int) error {
 			addr := uint64(addrs[lane] + imm)
 			if perLane {
 				arena = w.laneLocal(lane)
-			}
-			if deferred {
-				return w.memFault(d, pc, lane,
-					fmt.Errorf("isa: atomic to %v space cannot execute under deferred stores (shard-parallel mode)", d.space))
 			}
 			raw, err := loadRaw(arena, addr, I32)
 			if err != nil {

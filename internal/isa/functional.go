@@ -55,20 +55,14 @@ func MakeCTA(k *Kernel, ctaID int, launch Launch, mem *Memory) *CTA {
 	stacks := make([]simtEntry, nWarps)
 	access := make([]MemAccess, nWarps*WarpSize)
 	for wi := 0; wi < nWarps; wi++ {
-		lo := wi * WarpSize
-		hi := min(lo+WarpSize, launch.Block)
-		n := hi - lo
-		mask := uint32((uint64(1) << uint(n)) - 1)
-		stacks[wi] = simtEntry{pc: 0, rpc: -1, mask: mask}
 		w := &warps[wi]
 		*w = Warp{
 			Kernel:     k,
 			ID:         wi,
 			prog:       prog,
-			baseTid:    lo,
-			ctaID:      ctaID,
+			baseTid:    wi * WarpSize,
 			localBytes: k.LocalBytes,
-			stack:      stacks[wi : wi+1 : wi+1],
+			stack:      stacks[wi : wi : wi+1],
 			accessBuf:  access[wi*WarpSize : wi*WarpSize : (wi+1)*WarpSize],
 		}
 		if strideI > 0 {
@@ -83,12 +77,37 @@ func MakeCTA(k *Kernel, ctaID int, launch Launch, mem *Memory) *CTA {
 		if strideL > 0 {
 			w.local = local[wi*strideL : (wi+1)*strideL : (wi+1)*strideL]
 		}
-		if mask == 0 {
-			w.done = true
-		}
+		w.start(ctaID, launch.Block)
 		cta.Warps = append(cta.Warps, w)
 	}
 	return cta
+}
+
+// start puts the warp at the kernel's entry as a warp of block ctaID,
+// with one lane per thread of the block it covers.
+func (w *Warp) start(ctaID, block int) {
+	n := min(WarpSize, block-w.baseTid)
+	mask := uint32((uint64(1) << uint(n)) - 1)
+	w.ctaID = ctaID
+	w.stack = append(w.stack[:0], simtEntry{pc: 0, rpc: -1, mask: mask})
+	w.atBarrier = false
+	w.done = mask == 0
+}
+
+// Reset turns a CTA built by MakeCTA into block ctaID of the same launch,
+// reusing its arenas: a caller that runs one CTA at a time then
+// allocates once per launch instead of once per CTA.
+func (c *CTA) Reset(ctaID int) {
+	c.Index = ctaID
+	clear(c.Env.Shared)
+	for _, wx := range c.Warps {
+		w := wx.(*Warp)
+		clear(w.regI)
+		clear(w.regF)
+		clear(w.regP)
+		clear(w.local)
+		w.start(ctaID, c.Env.BlockDim)
+	}
 }
 
 // MakeCTARef instantiates block ctaID of the launch with the retained
@@ -158,24 +177,33 @@ func (f *Functional) Launch(k *Kernel, launch Launch, mem *Memory) error {
 		return err
 	}
 	for ctaID := 0; ctaID < launch.Grid; ctaID++ {
-		cta := MakeCTA(k, ctaID, launch, mem)
-		if err := f.runCTA(k, cta); err != nil {
+		if err := f.RunCTA(k, MakeCTA(k, ctaID, launch, mem), nil); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (f *Functional) runCTA(k *Kernel, cta *CTA) error {
+// RunCTA runs one CTA of kernel k to completion. With rec non-nil it
+// also records every warp's steps as the CTA's streams in rec, so a
+// timing simulator can replay the CTA without executing it again.
+func (f *Functional) RunCTA(k *Kernel, cta *CTA, rec *LaunchRecorder) error {
+	var recs []WarpRecorder
+	if rec != nil {
+		recs = rec.BeginCTA(cta.Index)
+	}
 	var steps uint64
 	var st Step
 	for {
 		progressed := false
 		anyBarrier := false
-		for _, w := range cta.Warps {
+		for i, w := range cta.Warps {
 			for !w.Done() && !w.AtBarrier() {
 				if err := w.Exec(cta.Env, &st); err != nil {
 					return err
+				}
+				if recs != nil {
+					recs[i].Record(&st)
 				}
 				progressed = true
 				steps++
@@ -190,6 +218,9 @@ func (f *Functional) runCTA(k *Kernel, cta *CTA) error {
 		f.Steps += steps
 		steps = 0
 		if cta.Done() {
+			if rec != nil {
+				rec.EndCTA()
+			}
 			return nil
 		}
 		if anyBarrier {

@@ -90,15 +90,6 @@ func (w *RefWarp) top() *simtEntry {
 	return nil
 }
 
-// Peek returns the next instruction the warp will execute, or nil if done.
-func (w *RefWarp) Peek() *Instr {
-	e := w.top()
-	if e == nil {
-		return nil
-	}
-	return &w.Kernel.Instrs[e.pc]
-}
-
 // Exec executes one warp instruction, updating architectural state, and
 // fills st with a description of it. Exec must not be called while the
 // warp is at a barrier or after it is done.
@@ -256,18 +247,14 @@ func (w *RefWarp) execMem(env *Env, t *Thread, ins *Instr, addr uint64) error {
 			t.F[ins.Dst] = math.Float64frombits(raw)
 		}
 	case OpSt:
-		v := t.I[ins.Src2]
-		return w.store(env, ins, arena, addr, uint64(v))
+		return storeRaw(arena, addr, ins.MType, uint64(t.I[ins.Src2]))
 	case OpStF:
 		v := t.F[ins.Src2]
 		if ins.MType == F32 {
-			return w.store(env, ins, arena, addr, uint64(math.Float32bits(float32(v))))
+			return storeRaw(arena, addr, ins.MType, uint64(math.Float32bits(float32(v))))
 		}
-		return w.store(env, ins, arena, addr, math.Float64bits(v))
+		return storeRaw(arena, addr, ins.MType, math.Float64bits(v))
 	case OpAtom:
-		if env.StoreBuf != nil && deferredSpace(ins.Space) {
-			return fmt.Errorf("isa: atomic to %v space cannot execute under deferred stores (shard-parallel mode)", ins.Space)
-		}
 		raw, err := loadRaw(arena, addr, I32)
 		if err != nil {
 			return err
@@ -279,15 +266,6 @@ func (w *RefWarp) execMem(env *Env, t *Thread, ins *Instr, addr uint64) error {
 		t.I[ins.Dst] = old
 	}
 	return nil
-}
-
-// store applies or defers one device store depending on whether the Env
-// carries a store buffer and the space is shared across CTAs.
-func (w *RefWarp) store(env *Env, ins *Instr, arena []byte, addr uint64, raw uint64) error {
-	if env.StoreBuf != nil && deferredSpace(ins.Space) {
-		return env.StoreBuf.record(arena, addr, ins.MType, raw)
-	}
-	return storeRaw(arena, addr, ins.MType, raw)
 }
 
 func (w *RefWarp) execALU(env *Env, t *Thread, ins *Instr) {

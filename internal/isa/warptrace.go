@@ -97,9 +97,8 @@ func (lt *LaunchTrace) Bytes() int64 {
 	return int64(data) + int64(len(lt.Warps))*headerSize
 }
 
-// WarpRecorder accumulates one warp's stream during capture. Each warp
-// has its own recorder, so the shard-parallel simulator records without
-// cross-SM synchronization.
+// WarpRecorder accumulates one warp's stream while the warp executes.
+// Each warp has its own recorder.
 type WarpRecorder struct {
 	data     []byte
 	prevPC   int // -1 before the first step, so PC 0 is a compact advance
@@ -143,18 +142,20 @@ func (r *WarpRecorder) Record(st *Step) {
 }
 
 // Recording buffers are recycled across warps and launches: growth slack
-// from capture never lingers in finalized traces (those are compacted
-// into an exact-size slab), and the next capture starts from warm
+// from recording never lingers in finalized traces (those are compacted
+// into an exact-size slab), and the next recording starts from warm
 // buffers.
 var traceBufPool = sync.Pool{New: func() any { return &[]byte{} }}
 
-// LaunchRecorder hands out per-warp recorders for one kernel launch and
-// compacts them into a LaunchTrace when the launch completes.
+// LaunchRecorder records one kernel launch CTA by CTA, holding the
+// recorders of one CTA at a time: BeginCTA hands them out, and EndCTA
+// moves the CTA's streams into Trace, where replay warps may read them
+// while later CTAs are still being recorded. At launch end Finalize
+// compacts the launch into one exact-size slab, or Release drops it.
 type LaunchRecorder struct {
-	kernel *Kernel
-	launch Launch
-	wpc    int
-	warps  []WarpRecorder
+	lt    *LaunchTrace
+	ctaID int
+	warps []WarpRecorder // the CTA being recorded
 }
 
 // NewLaunchRecorder prepares recording for one launch. It fails when the
@@ -164,40 +165,68 @@ func NewLaunchRecorder(k *Kernel, launch Launch) (*LaunchRecorder, error) {
 	if len(k.Instrs) > tracePCMask {
 		return nil, fmt.Errorf("isa: kernel %s has %d instructions; trace encoding holds %d", k.Name, len(k.Instrs), tracePCMask)
 	}
-	wpc := (launch.Block + WarpSize - 1) / WarpSize
-	r := &LaunchRecorder{kernel: k, launch: launch, wpc: wpc, warps: make([]WarpRecorder, launch.Grid*wpc)}
-	for i := range r.warps {
-		r.warps[i].data = (*traceBufPool.Get().(*[]byte))[:0]
-		r.warps[i].prevPC = -1
-	}
-	return r, nil
+	lt := &LaunchTrace{Kernel: k, Launch: launch}
+	wpc := lt.WarpsPerCTA()
+	lt.Warps = make([]WarpTrace, launch.Grid*wpc)
+	return &LaunchRecorder{lt: lt, warps: make([]WarpRecorder, wpc)}, nil
 }
 
-// Warp returns the recorder of the given warp of the given CTA.
-func (r *LaunchRecorder) Warp(ctaID, warpID int) *WarpRecorder {
-	return &r.warps[ctaID*r.wpc+warpID]
+// BeginCTA starts recording block ctaID and returns one recorder per
+// warp of the block, indexed by warp. They are valid until EndCTA.
+func (r *LaunchRecorder) BeginCTA(ctaID int) []WarpRecorder {
+	r.ctaID = ctaID
+	for i := range r.warps {
+		r.warps[i] = WarpRecorder{data: (*traceBufPool.Get().(*[]byte))[:0], prevPC: -1}
+	}
+	return r.warps
 }
+
+// EndCTA stores the streams recorded since BeginCTA as the block's warps
+// in Trace.
+func (r *LaunchRecorder) EndCTA() {
+	base := r.ctaID * len(r.warps)
+	for i := range r.warps {
+		r.lt.Warps[base+i] = WarpTrace{Data: r.warps[i].data}
+		r.warps[i] = WarpRecorder{}
+	}
+}
+
+// Trace returns the launch as recorded so far: a block's warps hold
+// their streams once its EndCTA has run and are empty before. A reader
+// on another goroutine must order its reads of a block after that
+// EndCTA.
+func (r *LaunchRecorder) Trace() *LaunchTrace { return r.lt }
 
 // Finalize compacts the recorded streams into a LaunchTrace backed by
 // one exact-size slab and returns the recording buffers to the pool.
-// The recorder must not be used afterwards.
+// The recorder and its Trace must not be used afterwards.
 func (r *LaunchRecorder) Finalize() *LaunchTrace {
 	var n int
-	for i := range r.warps {
-		n += len(r.warps[i].data)
+	for i := range r.lt.Warps {
+		n += len(r.lt.Warps[i].Data)
 	}
 	slab := make([]byte, 0, n)
-	lt := &LaunchTrace{Kernel: r.kernel, Launch: r.launch, Warps: make([]WarpTrace, len(r.warps))}
-	for i := range r.warps {
-		w := &r.warps[i]
+	lt := &LaunchTrace{Kernel: r.lt.Kernel, Launch: r.lt.Launch, Warps: make([]WarpTrace, len(r.lt.Warps))}
+	for i := range r.lt.Warps {
 		d0 := len(slab)
-		slab = append(slab, w.data...)
+		slab = append(slab, r.lt.Warps[i].Data...)
 		lt.Warps[i] = WarpTrace{Data: slab[d0:len(slab):len(slab)]}
-		buf := w.data[:0]
-		traceBufPool.Put(&buf)
-		*w = WarpRecorder{}
 	}
+	r.Release()
 	return lt
+}
+
+// Release returns the recording buffers to the pool without building a
+// trace. The recorder and its Trace must not be used afterwards; calling
+// Release again, or after Finalize, is a no-op.
+func (r *LaunchRecorder) Release() {
+	for i := range r.lt.Warps {
+		if d := r.lt.Warps[i].Data; d != nil {
+			buf := d[:0]
+			traceBufPool.Put(&buf)
+		}
+		r.lt.Warps[i] = WarpTrace{}
+	}
 }
 
 // ReplayWarp drives the timing simulator from a recorded stream: Exec

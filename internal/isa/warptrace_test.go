@@ -108,9 +108,11 @@ func TestWarpTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ws := rec.BeginCTA(0)
 	for i := range steps {
-		rec.Warp(0, 0).Record(&steps[i])
+		ws[0].Record(&steps[i])
 	}
+	rec.EndCTA()
 	lt := rec.Finalize()
 	if lt.Bytes() <= 0 {
 		t.Fatal("finalized trace reports no bytes")
@@ -168,7 +170,8 @@ func TestWarpTraceExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := maskStep(k, 0, 0xffffffff, nil)
-	rec.Warp(0, 0).Record(&s)
+	rec.BeginCTA(0)[0].Record(&s)
+	rec.EndCTA()
 	lt := rec.Finalize()
 
 	cta := MakeReplayCTA(lt, 0)
@@ -183,8 +186,9 @@ func TestWarpTraceExhaustion(t *testing.T) {
 }
 
 // TestLaunchRecorderWarpIndexing records distinct streams into the four
-// warps of a 2-CTA launch and asserts MakeReplayCTA hands each replay
-// warp its own stream.
+// warps of a 2-CTA launch, CTA 1 first, and asserts MakeReplayCTA hands
+// each replay warp its own stream — both from the live Trace, as soon as
+// the CTA's EndCTA ran, and from the finalized slab.
 func TestLaunchRecorderWarpIndexing(t *testing.T) {
 	k := tripKernel(t)
 	launch := Launch{Grid: 2, Block: 64} // 2 warps per CTA
@@ -192,17 +196,8 @@ func TestLaunchRecorderWarpIndexing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cta := 0; cta < 2; cta++ {
-		for wi := 0; wi < 2; wi++ {
-			s := maskStep(k, 6+cta*2+wi, 0xffffffff, nil) // unique nop PC per warp
-			rec.Warp(cta, wi).Record(&s)
-		}
-	}
-	lt := rec.Finalize()
-	if lt.WarpsPerCTA() != 2 {
-		t.Fatalf("WarpsPerCTA = %d, want 2", lt.WarpsPerCTA())
-	}
-	for ctaID := 0; ctaID < 2; ctaID++ {
+	check := func(lt *LaunchTrace, ctaID int) {
+		t.Helper()
 		cta := MakeReplayCTA(lt, ctaID)
 		for wi, wx := range cta.Warps {
 			var got Step
@@ -212,6 +207,98 @@ func TestLaunchRecorderWarpIndexing(t *testing.T) {
 			if want := 6 + ctaID*2 + wi; got.PC != want {
 				t.Fatalf("cta %d warp %d replayed PC %d, want %d", ctaID, wi, got.PC, want)
 			}
+		}
+	}
+	for _, cta := range []int{1, 0} {
+		ws := rec.BeginCTA(cta)
+		for wi := range ws {
+			s := maskStep(k, 6+cta*2+wi, 0xffffffff, nil) // unique nop PC per warp
+			ws[wi].Record(&s)
+		}
+		rec.EndCTA()
+		check(rec.Trace(), cta)
+	}
+	lt := rec.Finalize()
+	if lt.WarpsPerCTA() != 2 {
+		t.Fatalf("WarpsPerCTA = %d, want 2", lt.WarpsPerCTA())
+	}
+	for ctaID := 0; ctaID < 2; ctaID++ {
+		check(lt, ctaID)
+	}
+}
+
+// TestCTAResetMatchesFresh runs block 0 of a kernel that reads its
+// zero-initialized registers, shared and local memory, diverges and
+// waits at a barrier, then resets the CTA to block 1 and runs it again.
+// The recorded streams and the stored results must equal those of a
+// fresh MakeCTA for block 1.
+func TestCTAResetMatchesFresh(t *testing.T) {
+	b := NewBuilder()
+	b.SetShared(64 * 8)
+	b.SetLocal(8)
+	tid, ctaid, gid, i, n, acc, addr, zero, base, unset := b.I(), b.I(), b.I(), b.I(), b.I(), b.I(), b.I(), b.I(), b.I(), b.I()
+	b.Rd(tid, SpecTid)
+	b.Rd(ctaid, SpecCta)
+	b.IMulI(gid, ctaid, 64)
+	b.IAdd(gid, gid, tid)
+	b.MovI(zero, 0)
+	b.ShlI(addr, tid, 3)
+	b.Ld(acc, I64, SpaceShared, addr, 0) // zero in a fresh CTA
+	b.Ld(i, I64, SpaceLocal, zero, 0)    // likewise
+	b.IAdd(acc, acc, i)
+	b.IAdd(acc, acc, unset) // a register nothing writes
+	b.IAdd(unset, unset, gid)
+	b.IAndI(n, gid, 7)
+	b.For(i, 0, n, 1, func() { b.IAdd(acc, acc, gid) }) // divergent trip counts
+	b.St(I64, SpaceLocal, zero, 0, acc)
+	b.St(I64, SpaceShared, addr, 0, acc)
+	b.Bar()
+	b.Ld(acc, I64, SpaceShared, addr, 0)
+	b.Ld(i, I64, SpaceLocal, zero, 0)
+	b.IAdd(acc, acc, i)
+	b.LdParamI(base, 0)
+	b.ShlI(addr, gid, 3)
+	b.IAdd(addr, addr, base)
+	b.St(I64, SpaceGlobal, addr, 0, acc)
+	k := b.Build("reset")
+	launch := Launch{Grid: 2, Block: 64}
+
+	run := func(cta *CTA, mem *Memory, rec *LaunchRecorder) {
+		t.Helper()
+		cta.Env.Mem = mem
+		var f Functional
+		if err := f.RunCTA(k, cta, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newMem := func() (*Memory, uint64) {
+		mem := NewMemory()
+		out := mem.AllocGlobal(2 * 64 * 8)
+		mem.SetParamI(0, int64(out))
+		return mem, out
+	}
+	memFresh, outFresh := newMem()
+	recFresh, _ := NewLaunchRecorder(k, launch)
+	run(MakeCTA(k, 1, launch, memFresh), memFresh, recFresh)
+
+	memReset, outReset := newMem()
+	recReset, _ := NewLaunchRecorder(k, launch)
+	cta := MakeCTA(k, 0, launch, memReset)
+	run(cta, memReset, recReset)
+	cta.Reset(1)
+	run(cta, memReset, recReset)
+
+	for w := 0; w < 2; w++ {
+		got, want := recReset.Trace().Warps[2+w].Data, recFresh.Trace().Warps[2+w].Data
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("block 1 warp %d: reset CTA recorded %d bytes, fresh CTA %d", w, len(got), len(want))
+		}
+	}
+	for j := 64; j < 128; j++ {
+		got := memReset.ReadI64(SpaceGlobal, outReset+uint64(j*8))
+		want := memFresh.ReadI64(SpaceGlobal, outFresh+uint64(j*8))
+		if got != want || (j%8 != 0 && want == 0) {
+			t.Fatalf("out[%d] = %d after Reset, %d fresh", j, got, want)
 		}
 	}
 }

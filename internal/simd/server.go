@@ -106,6 +106,9 @@ func parseRequest(r *http.Request) (Request, error) {
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			return req, fmt.Errorf("bad JSON body: %w", err)
 		}
+		if req.Channels < 0 {
+			return req, fmt.Errorf("bad channels %d", req.Channels)
+		}
 	}
 	q := r.URL.Query()
 	if v := q.Get("bench"); v != "" {
@@ -161,6 +164,12 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 	if req.Channels > 0 {
 		cfg.MemChannels = req.Channels
 		cfg.Name = fmt.Sprintf("%s-%dch", cfg.Name, req.Channels)
+	}
+	// Reject an absurd configuration before it reaches the resolver, so
+	// it never allocates, never simulates and never keys a cache entry.
+	if err := cfg.Validate(); err != nil {
+		s.fail(w, http.StatusBadRequest, "characterize", err)
+		return
 	}
 	t0 := time.Now()
 	st, err := s.ctx.GPUAt(b, size, cfg)

@@ -89,6 +89,31 @@ func TestCharacterizeRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestCharacterizeRejectsAbsurdConfig sends a channel count Config's
+// bounds reject, in both request forms, plus a negative count in the
+// JSON form. Each must get a 400 without simulating anything: a
+// 10⁹-channel DRAM model alone would allocate 8 GB.
+func TestCharacterizeRejectsAbsurdConfig(t *testing.T) {
+	srv, reg := newTestServer(t)
+	h := srv.Handler()
+	if rr := get(t, h, "/characterize?bench=BFS&size=test&channels=1000000000"); rr.Code != http.StatusBadRequest {
+		t.Errorf("query form: status %d, want 400", rr.Code)
+	}
+	for _, body := range []string{
+		`{"bench":"BFS","size":"test","channels":1000000000}`,
+		`{"bench":"BFS","size":"test","channels":-3}`,
+	} {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/characterize", strings.NewReader(body)))
+		if rr.Code != http.StatusBadRequest {
+			t.Errorf("JSON form %s: status %d, want 400", body, rr.Code)
+		}
+	}
+	if got := reg.Counters()[obs.Name("exp.gpu.runs", "bench", "BFS@test")]; got != 0 {
+		t.Fatalf("exp.gpu.runs = %d, want 0", got)
+	}
+}
+
 // TestConcurrentRequestsComputeOnce is the service-level singleflight
 // guarantee: N clients racing the same uncached key get identical
 // responses from exactly one simulation (exp.gpu.runs counts executed
