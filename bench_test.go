@@ -96,9 +96,10 @@ func BenchmarkConcurrentKernels(b *testing.B) { benchExperiment(b, "conc") }
 
 // BenchmarkFullSweep runs the complete experiment set through the
 // concurrent runner on a fresh (uncached) context per iteration, at one
-// worker and at GOMAXPROCS workers, so BENCH_*.json tracks the speedup
-// the -parallel flag buys on the host. On a single-core machine the two
-// sub-benchmarks coincide; the speedup materializes from 2 cores up.
+// worker and at GOMAXPROCS workers, to show the speedup the -parallel
+// flag buys on the host. On a single-core machine the two sub-benchmarks
+// coincide; the speedup materializes from 2 cores up. Historical
+// headlines live in simbench/history.json.
 func BenchmarkFullSweep(b *testing.B) {
 	sweep := func(b *testing.B, workers int) {
 		b.Helper()

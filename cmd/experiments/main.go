@@ -10,10 +10,9 @@
 //	experiments -nocheck     # skip functional validation of GPU kernels
 //	experiments -out results # also write one <id>.txt per artifact
 //	experiments -parallel 0  # fan out across GOMAXPROCS workers
-//	experiments -replay=false # re-execute kernels for every configuration
 //	experiments -store DIR   # persistent artifact store: warm-start repeat runs
 //	experiments -store-bytes N # byte cap of the on-disk store LRU
-//	experiments -tracelog    # log trace capture/replay/fallback (and disk-tier) decisions
+//	experiments -tracelog    # log trace capture/replay (and disk-tier) decisions
 //	experiments -progress    # live progress (done/total, percent, ETA) on stderr
 //	experiments -telemetry results # write telemetry.json/.txt ("" disables)
 //	experiments -debug-addr 127.0.0.1:0 # serve expvar + pprof while running
@@ -25,10 +24,9 @@
 // characterization exactly once; output streams in paper order as soon
 // as each experiment (and all its predecessors) finishes.
 //
-// By default each benchmark's functional execution is traced once and
-// every further timing configuration replays the trace (bit-identical
-// Stats, roughly half the wall clock of a full pass). -replay=false is
-// the escape hatch that forces full re-execution everywhere.
+// Each benchmark's functional execution is traced once and every
+// further timing configuration replays the trace (bit-identical Stats,
+// roughly half the wall clock of a full pass).
 //
 // Every run reports through an obs.Registry: -debug-addr serves the live
 // registry as expvar JSON at /debug/vars (plus net/http/pprof), and
@@ -59,7 +57,7 @@ func main() {
 	outDir := flag.String("out", "", "directory to write one <id>.txt per artifact (optional)")
 	parallel := flag.Int("parallel", 1, "experiment worker count; 0 means GOMAXPROCS")
 	cf := experiments.ContextFlags(flag.CommandLine)
-	tracelog := flag.Bool("tracelog", false, "log trace capture/replay/fallback decisions to stderr")
+	tracelog := flag.Bool("tracelog", false, "log trace capture/replay decisions to stderr")
 	progress := flag.Bool("progress", false, "report live progress (done/total, percent, ETA) on stderr")
 	telemetry := flag.String("telemetry", "results", "directory for telemetry.json/telemetry.txt (empty disables)")
 	debug := obs.DebugFlags(flag.CommandLine)
@@ -186,8 +184,8 @@ func main() {
 	})
 	if *tracelog {
 		c := ctx.TraceCounters()
-		fmt.Fprintf(os.Stderr, "trace: %d captures, %d replays, %d fallbacks, %d evictions, %d uncacheable, %d bytes cached\n",
-			c.Captures, c.Replays, c.Fallbacks, c.Evictions, c.Uncacheable, c.Bytes)
+		fmt.Fprintf(os.Stderr, "trace: %d captures, %d replays, %d evictions, %d uncacheable, %d bytes cached\n",
+			c.Captures, c.Replays, c.Evictions, c.Uncacheable, c.Bytes)
 		if ctx.Store != nil {
 			sc := ctx.Store.Counters()
 			fmt.Fprintf(os.Stderr, "store: %d hits, %d misses, %d puts, %d evictions, %d corrupt, %d uncacheable, %d bytes on disk\n",

@@ -9,7 +9,6 @@
 //	rodiniasim -list                # list benchmarks and per-class sizes, then exit
 //	rodiniasim -config gtx480-l1    # base | base8 | gtx280 | gtx480-shared | gtx480-l1
 //	rodiniasim -config base,gtx280  # sweep several configs (trace-once, replay-many)
-//	rodiniasim -replay=false        # re-execute kernels for every config of a sweep
 //	rodiniasim -nocheck             # skip functional validation
 //	rodiniasim -workers 4           # shard SMs across 4 goroutines (bit-identical)
 //	rodiniasim -parallel 0          # run benchmarks concurrently (0 = GOMAXPROCS)
@@ -21,10 +20,9 @@
 //
 // A multi-config sweep records each benchmark's functional execution
 // once and replays the trace under every further configuration
-// (bit-identical statistics, no kernel re-execution); -replay=false
-// forces full execution everywhere. A single-config run executes
-// directly unless -store is given, in which case its trace is captured
-// for later sweeps.
+// (bit-identical statistics, no kernel re-execution). A single-config
+// run executes directly and keeps no trace, unless -store is given, in
+// which case its trace is captured for later sweeps.
 package main
 
 import (
@@ -133,7 +131,8 @@ func main() {
 	// One experiments context serves every benchmark, so a multi-config
 	// sweep traces each benchmark's functional execution once and replays
 	// it for the other configurations. A single-config run executes
-	// directly (replay can never help it) — unless a persistent store is
+	// directly and keeps no trace, which nothing would replay (the medium
+	// suite's traces take about 160 MB) — unless a persistent store is
 	// attached, whose later runs the trace may warm-start.
 	ctx, err := cf.Context(reg)
 	if err != nil {

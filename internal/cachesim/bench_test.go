@@ -47,7 +47,7 @@ func BenchmarkSweep(b *testing.B) {
 }
 
 // BenchmarkNaiveSweep measures the retained eight-cache oracle on the
-// same stream, for the speedup ratio recorded in BENCH_cpu.json.
+// same stream, for the speedup ratio kept in simbench/history.json.
 func BenchmarkNaiveSweep(b *testing.B) {
 	events := benchStream(1 << 20)
 	b.ResetTimer()

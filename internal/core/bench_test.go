@@ -12,8 +12,8 @@ import (
 // BenchmarkCPUCharacterize times the full 24-workload characterization
 // pass — the cost behind every Figure 6-12 experiment — at one worker
 // (pure pipeline throughput: batching + single-pass sweep) and at
-// GOMAXPROCS workers (pool scaling on top). BENCH_cpu.json records the
-// before/after numbers.
+// GOMAXPROCS workers (pool scaling on top). simbench/history.json keeps
+// the before/after headline.
 func BenchmarkCPUCharacterize(b *testing.B) {
 	ws := workloads.All()
 	run := func(b *testing.B, workers int) {

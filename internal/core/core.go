@@ -146,6 +146,10 @@ func CharacterizeCPUObs(w *workloads.Workload, size sizes.Class, r *obs.Registry
 // workload reports through the registry (safe concurrently — every
 // instrument is atomic), and the pool itself reports its size. A nil
 // registry is the free no-op.
+//
+// A workload that panics panics the call, on the caller's goroutine,
+// whatever the worker count: the pool stops handing out workloads, waits
+// for the workers still running, then re-panics with the first value.
 func CharacterizeCPUAllObs(ws []*workloads.Workload, size sizes.Class, workers int, r *obs.Registry) []*CPUProfile {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -163,22 +167,42 @@ func CharacterizeCPUAllObs(ws []*workloads.Workload, size sizes.Class, workers i
 		}
 		return out
 	}
-	next := make(chan int)
-	var wg sync.WaitGroup
+	var (
+		next  = make(chan int)
+		stop  = make(chan struct{}) // closed by the first worker to panic
+		once  sync.Once
+		first any
+		wg    sync.WaitGroup
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					once.Do(func() { first = v; close(stop) })
+				}
+			}()
 			for i := range next {
 				out[i] = CharacterizeCPUObs(ws[i], size, r)
 			}
 		}()
 	}
+feed:
 	for i := range ws {
-		next <- i
+		select {
+		case next <- i:
+		case <-stop:
+			break feed
+		}
 	}
 	close(next)
 	wg.Wait()
+	select {
+	case <-stop:
+		panic(first)
+	default:
+	}
 	return out
 }
 

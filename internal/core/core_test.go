@@ -1,13 +1,17 @@
 package core
 
 import (
+	"errors"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/cachesim"
 	"repro/internal/gpusim"
 	"repro/internal/kernels"
 	"repro/internal/sizes"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -70,6 +74,31 @@ func TestCharacterizeCPUAllOrder(t *testing.T) {
 		if ps[i].Name != ws[i].Name {
 			t.Fatalf("profile %d is %s, want %s", i, ps[i].Name, ws[i].Name)
 		}
+	}
+}
+
+// TestCharacterizeCPUAllPanicReachesCaller runs a pool of two workers
+// over workloads one of which panics: the call must panic on the
+// caller's goroutine with that value, and leave no worker running.
+func TestCharacterizeCPUAllPanicReachesCaller(t *testing.T) {
+	boom := errors.New("workload exploded")
+	bad := &workloads.Workload{Name: "boom", Suite: "R", Run: func(*trace.Harness, []int) { panic(boom) }}
+	ws := append([]*workloads.Workload{bad}, workloads.Rodinia()[:3]...)
+	base := runtime.NumGoroutine()
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		CharacterizeCPUAllObs(ws, sizes.Test, 2, nil)
+		return nil
+	}()
+	if got != boom {
+		t.Fatalf("recovered %v, want the workload's panic", got)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

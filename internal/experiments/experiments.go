@@ -74,10 +74,11 @@ type Context struct {
 	// Replay enables trace-once/replay-many characterization: the first
 	// run of a benchmark instance records a functional trace, and later
 	// runs under other configurations drive the timing model from it
-	// instead of re-executing the kernels (bit-identical Stats; replays
-	// also skip input generation and validation). A trace that cannot
-	// be replayed (gpusim.RunTrace.Replayable) is kept too, and every
-	// other configuration of its instance runs in full.
+	// instead of re-executing the kernels (bit-identical Stats, as every
+	// benchmark trace replays under every configuration; replays also
+	// skip input generation and validation). NewContext sets it. Clear
+	// it only where no trace will be replayed — a run of one
+	// configuration with no Store — so no trace is kept.
 	Replay bool
 
 	// Store, when non-nil, is the persistent tier below memory: every
@@ -93,7 +94,7 @@ type Context struct {
 	// through: executed GPU characterizations (exp.gpu.*), the trace
 	// tier (exp.trace.*), the CPU-profile pool (cpu.*), the concurrent
 	// runner (runner.*) and the simulators underneath. Trace decisions —
-	// capture, replay, fallback, eviction, and the disk tier's — are
+	// capture, replay, eviction, and the disk tier's — are
 	// published as "trace" events on it; subscribe with
 	// Obs.OnEvent("trace", ...) (this is how cmd/experiments implements
 	// -tracelog).
@@ -102,7 +103,7 @@ type Context struct {
 	stats    resolver[gpuKey, *gpusim.Stats]
 	traces   resolver[traceID, *gpusim.RunTrace]
 	profiles resolver[sizes.Class, []*core.CPUProfile]
-	counts   struct{ captures, replays, fallbacks, evictions, uncacheable atomic.Uint64 }
+	counts   struct{ captures, replays, evictions, uncacheable atomic.Uint64 }
 }
 
 // The Stats and profile tiers are bounded by entry count. A full
@@ -126,15 +127,12 @@ const DefaultTraceCacheBytes = 1 << 30
 
 // TraceCounters is a snapshot of the trace tier's decision counters.
 // Captures counts functional passes that recorded a trace; Replays
-// counts characterizations served from a trace; Fallbacks counts
-// characterizations that ran in full because their instance's trace
-// cannot be replayed; Evictions counts traces dropped by the LRU to
-// respect the byte bound, and Uncacheable counts traces too large to
-// keep at all. Bytes is the current occupancy.
+// counts characterizations served from a trace; Evictions counts traces
+// dropped by the LRU to respect the byte bound, and Uncacheable counts
+// traces too large to keep at all. Bytes is the current occupancy.
 type TraceCounters struct {
 	Captures    uint64
 	Replays     uint64
-	Fallbacks   uint64
 	Evictions   uint64
 	Uncacheable uint64
 	Bytes       int64
@@ -241,7 +239,10 @@ func (c *Context) run(b *kernels.Benchmark, size sizes.Class, cfg gpusim.Config)
 // characterization, through the trace tier when replay is enabled. The
 // instance's capture is the trace tier's computation: it serves the
 // configuration that triggered it, and every caller that waited on it
-// replays the trace.
+// replays the trace. A capture that cannot replay — only a multi-kernel
+// gpusim.GPU.LaunchConcurrent makes one, and benchmarks launch through
+// isa.Executor, which has only Launch — is an error for every
+// configuration that would replay it.
 func (c *Context) characterize(b *kernels.Benchmark, size sizes.Class, cfg gpusim.Config) (*gpusim.Stats, error) {
 	if !c.Replay {
 		return characterizeGPU(b, size, cfg, c.Check, c.Obs)
@@ -282,9 +283,7 @@ func (c *Context) characterize(b *kernels.Benchmark, size sizes.Class, cfg gpusi
 		return captured, nil
 	}
 	if err := rt.Replayable(); err != nil {
-		c.bump(&c.counts.fallbacks, "exp.trace.fallbacks")
-		c.tracef("fallback %s on %s: %s", id, cfg.Name, err)
-		return characterizeGPU(b, size, cfg, c.Check, c.Obs)
+		return nil, fmt.Errorf("experiments: %s on %s: %w", id, cfg.Name, err)
 	}
 	c.bump(&c.counts.replays, "exp.trace.replays")
 	c.tracef("replay   %s on %s (%d launches)", id, cfg.Name, rt.NumLaunches())
@@ -311,13 +310,12 @@ func (c *Context) bump(n *atomic.Uint64, name string) {
 	c.Obs.Counter(name).Inc()
 }
 
-// TraceCounters snapshots the trace tier's capture/replay/fallback
+// TraceCounters snapshots the trace tier's capture/replay/eviction
 // decision counters (zero values when replay never ran).
 func (c *Context) TraceCounters() TraceCounters {
 	return TraceCounters{
 		Captures:    c.counts.captures.Load(),
 		Replays:     c.counts.replays.Load(),
-		Fallbacks:   c.counts.fallbacks.Load(),
 		Evictions:   c.counts.evictions.Load(),
 		Uncacheable: c.counts.uncacheable.Load(),
 		Bytes:       c.traces.size(),

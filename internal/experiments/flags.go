@@ -8,7 +8,7 @@ import (
 )
 
 // Flags owns the Context wiring cmd/rodiniasim, cmd/experiments and
-// cmd/simd share — -workers, -nocheck, -replay, -store, -store-bytes —
+// cmd/simd share — -workers, -nocheck, -store, -store-bytes —
 // in the manner of obs.ProfileFlags:
 //
 //	cf := experiments.ContextFlags(flag.CommandLine)
@@ -19,7 +19,6 @@ import (
 type Flags struct {
 	workers    *int
 	nocheck    *bool
-	replay     *bool
 	storeDir   *string
 	storeBytes *int64
 	st         *store.Store
@@ -31,7 +30,6 @@ func ContextFlags(fs *flag.FlagSet) *Flags {
 	return &Flags{
 		workers:    fs.Int("workers", 0, "SM shard workers inside each simulation (results are bit-identical)"),
 		nocheck:    fs.Bool("nocheck", false, "skip functional validation of GPU kernels against the CPU reference"),
-		replay:     fs.Bool("replay", true, "trace each benchmark once and replay it for further configs"),
 		storeDir:   fs.String("store", "", "persistent artifact store directory (cached-or-computed results across runs)"),
 		storeBytes: fs.Int64("store-bytes", 0, "byte cap of the on-disk store LRU (0 = default)"),
 	}
@@ -43,7 +41,6 @@ func ContextFlags(fs *flag.FlagSet) *Flags {
 func (f *Flags) Context(reg *obs.Registry) (*Context, error) {
 	ctx := NewContext()
 	ctx.Check = !*f.nocheck
-	ctx.Replay = *f.replay
 	ctx.ShardWorkers = *f.workers
 	ctx.Obs = reg
 	if *f.storeDir != "" {

@@ -358,8 +358,8 @@ func TestContextSingleflightReplayPath(t *testing.T) {
 		t.Fatalf("replayed %d times, want %d", got, len(cfgs)-1)
 	}
 	c := ctx.TraceCounters()
-	if c.Captures != 1 || c.Replays != uint64(len(cfgs)-1) || c.Fallbacks != 0 {
-		t.Fatalf("counters = %+v, want 1 capture, %d replays, 0 fallbacks", c, len(cfgs)-1)
+	if c.Captures != 1 || c.Replays != uint64(len(cfgs)-1) {
+		t.Fatalf("counters = %+v, want 1 capture, %d replays", c, len(cfgs)-1)
 	}
 }
 

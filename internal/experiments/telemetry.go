@@ -194,8 +194,8 @@ func (t *Telemetry) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "run: size=%s workers=%d wall=%.2fs busy=%.2fs utilization=%.1f%%\n",
 		t.Size, t.Workers, float64(t.WallNs)/1e9, float64(t.BusyNs)/1e9, 100*t.Utilization)
-	fmt.Fprintf(&b, "trace cache: %d captures, %d replays, %d fallbacks, %d evictions, %d uncacheable, %d bytes\n",
-		t.Trace.Captures, t.Trace.Replays, t.Trace.Fallbacks, t.Trace.Evictions, t.Trace.Uncacheable, t.Trace.Bytes)
+	fmt.Fprintf(&b, "trace cache: %d captures, %d replays, %d evictions, %d uncacheable, %d bytes\n",
+		t.Trace.Captures, t.Trace.Replays, t.Trace.Evictions, t.Trace.Uncacheable, t.Trace.Bytes)
 	if t.GPU.Cycles > 0 {
 		fmt.Fprintf(&b, "gpu: %d cycles over %d launches; stalls port=%d skip=%d sched=%d; clock skipped %d; dram %d accesses backlog %d cycles\n",
 			t.GPU.Cycles, t.GPU.Launches, t.GPU.StallPortCycles, t.GPU.StallSkipCycles,

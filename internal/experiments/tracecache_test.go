@@ -114,14 +114,15 @@ func TestTraceCacheUncacheable(t *testing.T) {
 	}
 }
 
-// TestTraceCacheFallbackReason pins the fallback from a trace that
-// cannot be replayed: the instance is captured once, and every other
-// configuration runs live once and logs why.
-func TestTraceCacheFallbackReason(t *testing.T) {
+// TestTraceCacheUnreplayableErrors pins what a capture that cannot
+// replay does: the configuration that captured it gets its Stats, and
+// every other configuration of the instance gets an error naming the
+// reason, without a second capture, a replay or a live run.
+func TestTraceCacheUnreplayableErrors(t *testing.T) {
 	var live atomic.Int32
 	origCap, origChar := captureGPU, characterizeGPU
 	captureGPU = func(b *kernels.Benchmark, size sizes.Class, cfg gpusim.Config, check bool, r *obs.Registry) (*gpusim.Stats, *gpusim.RunTrace, error) {
-		return gpusim.NewStats(cfg.Name), gpusim.ImportRunTrace(cfg, nil, "atomics"), nil
+		return gpusim.NewStats(cfg.Name), gpusim.ImportRunTrace(cfg, nil, "concurrent launch of 2 kernels"), nil
 	}
 	characterizeGPU = func(b *kernels.Benchmark, size sizes.Class, cfg gpusim.Config, check bool, r *obs.Registry) (*gpusim.Stats, error) {
 		live.Add(1)
@@ -130,34 +131,23 @@ func TestTraceCacheFallbackReason(t *testing.T) {
 	defer func() { captureGPU, characterizeGPU = origCap, origChar }()
 
 	ctx := NewContext()
-	ctx.Obs = obs.New()
-	var fallbacks []string
-	ctx.Obs.OnEvent("trace", func(format string, args ...any) {
-		if line := fmt.Sprintf(format, args...); strings.HasPrefix(line, "fallback") {
-			fallbacks = append(fallbacks, line)
-		}
-	})
 	b := kernels.All()[0]
-	const configs = 50
+	const configs = 5
 	for ch := 1; ch <= configs; ch++ {
 		cfg := gpusim.Base()
 		cfg.MemChannels = ch
 		cfg.Name = fmt.Sprintf("base-%dch", ch)
-		if _, err := ctx.GPU(b, cfg); err != nil {
-			t.Fatal(err)
+		_, err := ctx.GPU(b, cfg)
+		switch {
+		case ch == 1 && err != nil:
+			t.Fatalf("capturing configuration: %v", err)
+		case ch > 1 && (err == nil || !strings.HasSuffix(err.Error(), "trace not replayable: concurrent launch of 2 kernels")):
+			t.Fatalf("%s: err = %v, want the trace's reason", cfg.Name, err)
 		}
 	}
 	c := ctx.TraceCounters()
-	if c.Captures != 1 || c.Fallbacks != configs-1 || live.Load() != configs-1 {
-		t.Fatalf("counters = %+v, %d live runs; want 1 capture, %d fallbacks, %d live runs", c, live.Load(), configs-1, configs-1)
-	}
-	if len(fallbacks) != configs-1 {
-		t.Fatalf("%d fallback lines, want %d", len(fallbacks), configs-1)
-	}
-	for _, line := range fallbacks {
-		if !strings.HasSuffix(line, "gpusim: trace not replayable: atomics") {
-			t.Fatalf("fallback line %q does not give the reason", line)
-		}
+	if c.Captures != 1 || c.Replays != 0 || live.Load() != 0 {
+		t.Fatalf("counters = %+v, %d live runs; want 1 capture, 0 replays, 0 live runs", c, live.Load())
 	}
 }
 

@@ -16,29 +16,10 @@ import (
 // TestTraceLogGolden pins the "trace" event lines -tracelog prints, in
 // order, for a scripted run through Context.GPU over one store: a
 // capture, a replay, the trace's and the Stats' diskput lines, a memo
-// hit (which prints nothing), a fallback from a trace that cannot be
-// replayed, and a fresh Context that serves Stats from disk (diskhit)
-// and replays a trace it loads from disk (diskload).
+// hit (which prints nothing), and a fresh Context that serves Stats from
+// disk (diskhit) and replays a trace it loads from disk (diskload).
 func TestTraceLogGolden(t *testing.T) {
 	bfs, _ := kernels.ByAbbrev("BFS")
-	nw, _ := kernels.ByAbbrev("NW")
-	// NW's stubbed capture records a trace that cannot be replayed, and
-	// its stubbed live run stands in for the fallback's.
-	origCap, origChar := captureGPU, characterizeGPU
-	captureGPU = func(b *kernels.Benchmark, size sizes.Class, cfg gpusim.Config, check bool, r *obs.Registry) (*gpusim.Stats, *gpusim.RunTrace, error) {
-		if b.Abbrev == "NW" {
-			return gpusim.NewStats(cfg.Name), gpusim.ImportRunTrace(cfg, nil, "atomics"), nil
-		}
-		return origCap(b, size, cfg, check, r)
-	}
-	characterizeGPU = func(b *kernels.Benchmark, size sizes.Class, cfg gpusim.Config, check bool, r *obs.Registry) (*gpusim.Stats, error) {
-		if b.Abbrev == "NW" {
-			return gpusim.NewStats(cfg.Name), nil
-		}
-		return origChar(b, size, cfg, check, r)
-	}
-	defer func() { captureGPU, characterizeGPU = origCap, origChar }()
-
 	dir := t.TempDir()
 	var (
 		mu    sync.Mutex
@@ -68,8 +49,6 @@ func TestTraceLogGolden(t *testing.T) {
 	gpu(cold, bfs, gpusim.Base8SM())
 	gpu(cold, bfs, gpusim.GTX280())
 	gpu(cold, bfs, gpusim.Base8SM())
-	gpu(cold, nw, gpusim.Base8SM())
-	gpu(cold, nw, gpusim.GTX280())
 	warm := context()
 	gpu(warm, bfs, gpusim.Base8SM())
 	gpu(warm, bfs, gpusim.Base())
@@ -85,10 +64,6 @@ func TestTraceLogGolden(t *testing.T) {
 		"diskput  BFS@test on gpgpusim-8sm (stats)",
 		fmt.Sprintf("replay   BFS@test on gtx280 (%d launches)", n),
 		"diskput  BFS@test on gtx280 (stats)",
-		"capture  NW@test on gpgpusim-8sm",
-		"diskput  NW@test on gpgpusim-8sm (stats)",
-		"fallback NW@test on gtx280: gpusim: trace not replayable: atomics",
-		"diskput  NW@test on gtx280 (stats)",
 		"diskhit  BFS@test on gpgpusim-8sm (stats)",
 		fmt.Sprintf("diskload BFS@test (%d launches, %d bytes)", n, size),
 		fmt.Sprintf("replay   BFS@test on gpgpusim-28sm (%d launches)", n),

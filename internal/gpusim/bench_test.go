@@ -13,7 +13,7 @@ import (
 // characterization pass on the base configuration — the cost behind every
 // Figure 1-5 experiment and each Plackett-Burman run — single-threaded,
 // with functional validation off so the number isolates the timing
-// simulator. BENCH_gpu.json records the before/after numbers.
+// simulator. simbench/history.json keeps the before/after headline.
 func BenchmarkGPUCharacterize(b *testing.B) {
 	benches := kernels.All()
 	var cycles uint64

@@ -104,9 +104,9 @@ func (ls *launchState) runEpoch(workers, epoch int) error {
 	if ls.pending == 0 {
 		return nil
 	}
-	shards := make([]statsSink, workers)
+	shards := make([][]*Stats, workers)
 	for w := range shards {
-		shards[w] = newStatsSink(&ls.g.cfg, len(ls.specs))
+		shards[w] = newTally(len(ls.specs))
 	}
 
 	eps := make([]*epochSM, nsm)
@@ -233,12 +233,10 @@ func (ls *launchState) runEpoch(workers, epoch int) error {
 	}
 
 	// Deterministic merge: shards in worker order. All shard counters are
-	// commutative sums (Cycles, Launches, CTAs and PeakBytesPerCycle stay
-	// zero on shards), so the totals equal the sequential loop's.
-	for w := 0; w < workers; w++ {
-		ls.sink.g.Merge(shards[w].g)
-		for i, sp := range ls.specs {
-			sp.kStats.Merge(shards[w].k[i])
+	// commutative sums, so the tally equals the sequential loop's.
+	for _, shard := range shards {
+		for i, ks := range shard {
+			ls.tally[i].Merge(ks)
 		}
 	}
 	ls.now = ls.dram.drainedBy(ls.now)
@@ -249,7 +247,7 @@ func (ls *launchState) runEpoch(workers, epoch int) error {
 // nearest freeze bound) on purely SM-local state, logging everything that
 // needs the launch-global memory system. Runs concurrently across shards;
 // it touches only the SM, its warps/CTAs, and the worker's stats shard.
-func (ls *launchState) advanceEpochSM(ep *epochSM, si int, sink statsSink, target uint64) {
+func (ls *launchState) advanceEpochSM(ep *epochSM, si int, tally []*Stats, target uint64) {
 	if ep.held {
 		return
 	}
@@ -295,7 +293,7 @@ func (ls *launchState) advanceEpochSM(ep *epochSM, si int, sink statsSink, targe
 			}
 			continue // pick recorded sm.skipUntil; next iteration jumps
 		}
-		if err := ls.execWarp(sm, w, sink, &ep.step, now); err != nil {
+		if err := ls.execWarp(sm, w, tally, &ep.step, now); err != nil {
 			ep.queue = append(ep.queue, epochEvent{kind: evFault, cycle: now, err: err})
 			ep.held = true
 			ep.now = now + 1
@@ -402,7 +400,7 @@ func (ls *launchState) replayEpochEvents(eps []*epochSM, horizon uint64, execErr
 		switch ev.kind {
 		case evMem:
 			lat := ls.ms.priceLines(ev.cycle, sm.caches, ev.cta, ev.space, ev.store,
-				ep.slab[ev.off:ev.end], ls.sink.g)
+				ep.slab[ev.off:ev.end], ls.g.Stats)
 			if w := ev.w; ev.parked {
 				w.parked = false
 				w.blocked = w.done || w.retired || w.barrier

@@ -17,12 +17,15 @@ import (
 // The kernel thus runs ahead on a second core while the timing loop
 // consumes what it recorded; warps in the timing loop never execute.
 //
-// This rests on the invariant trace replay already relies on (trace.go):
-// a warp's stream does not depend on the schedule, because CTAs of one
-// launch communicate only through benign same-value stores, and the
-// warps of a CTA only through barriers. One producer runs a kernel's
-// whole grid, never CTAs spread over several goroutines, so those
-// same-value stores cannot race.
+// This models the launch faithfully under a workload invariant that
+// internal/core/schedule_test.go pins for every benchmark: a warp's
+// stream does not depend on the schedule, because CTAs of one launch
+// communicate only through benign same-value stores, and the warps of a
+// CTA only through barriers. An atomic's returned value does depend on
+// the order CTAs run in; the producer fixes that order, so it records one
+// valid outcome, the same under every configuration (the rule trace.go
+// states). One producer runs a kernel's whole grid, never CTAs spread
+// over several goroutines, so those same-value stores cannot race.
 
 // ctaFeed carries one kernel's recorded CTAs from its producer to the
 // timing loop.

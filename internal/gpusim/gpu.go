@@ -124,22 +124,13 @@ func (g *GPU) LaunchConcurrent(specs []LaunchSpec) error {
 			return err
 		}
 		rss[i] = &runSpec{
-			idx: i, k: spec.Kernel, launch: spec.Launch, kStats: NewStats(g.cfg.Name),
+			idx: i, k: spec.Kernel, launch: spec.Launch,
 			trace: rec.Trace(), feed: newCTAFeed(rec, spec.Launch.Grid),
 		}
 	}
-	keep := false
-	if g.capture != nil {
-		// Only single-kernel launches are replayable: concurrent kernels
-		// share the dispatch cursors, so their CTA placement is coupled in
-		// ways the validity predicate does not model.
-		if len(specs) != 1 {
-			g.capture.invalidate(fmt.Sprintf("concurrent launch of %d kernels", len(specs)))
-		} else if usesAtomics(specs[0].Kernel) {
-			g.capture.invalidate(fmt.Sprintf("kernel %s uses atomics", specs[0].Kernel.Name))
-		} else {
-			keep = true
-		}
+	if g.capture != nil && len(specs) > 1 {
+		// Replay runs one kernel per launch.
+		g.capture.invalidate(fmt.Sprintf("concurrent launch of %d kernels", len(specs)))
 	}
 	for i := range specs {
 		if slices.ContainsFunc(specs[:i], func(o LaunchSpec) bool { return o.Mem == specs[i].Mem }) {
@@ -164,7 +155,7 @@ func (g *GPU) LaunchConcurrent(specs []LaunchSpec) error {
 		g.failCapture(err)
 		return err
 	}
-	if keep {
+	if g.capture != nil && len(specs) == 1 {
 		f := rss[0].feed
 		f.finish()
 		g.capture.add(f.rec.Finalize())
@@ -200,6 +191,7 @@ func (g *GPU) runLaunch(rss []*runSpec) error {
 	ls := &launchState{
 		g:      g,
 		specs:  rss,
+		tally:  newTally(len(rss)),
 		dram:   d,
 		ms:     newMemSubsystem(&g.cfg, g.l2, d, g.sharing),
 		issueC: g.cfg.issueCycles(),
@@ -213,10 +205,6 @@ func (g *GPU) runLaunch(rss []*runSpec) error {
 	}
 	for i := 0; i < g.cfg.NumSMs; i++ {
 		ls.sms = append(ls.sms, &smRT{caches: g.sms[i]})
-	}
-	ls.sink = statsSink{g: g.Stats, k: make([]*Stats, len(ls.specs))}
-	for i, sp := range ls.specs {
-		ls.sink.k[i] = sp.kStats
 	}
 	// Snapshot cache counters so per-launch deltas can be accumulated.
 	snap := g.cacheSnapshot()
@@ -250,33 +238,19 @@ func (g *GPU) runLaunch(rss []*runSpec) error {
 	}
 
 	for _, sp := range ls.specs {
-		g.Stats.Launches++
-		g.Stats.CTAs += sp.launch.Grid
-
-		// Per-kernel accounting: everything this launch contributed.
-		pk := g.Stats.Kernel(sp.k.Name)
-		pk.Cycles += ls.now
-		pk.Launches++
-		pk.CTAs += sp.launch.Grid
-		pk.PeakBytesPerCycle = g.Stats.PeakBytesPerCycle
-		pk.WarpInstrs += sp.kStats.WarpInstrs
-		pk.ThreadInstrs += sp.kStats.ThreadInstrs
-		pk.BranchInstrs += sp.kStats.BranchInstrs
-		pk.DivergentBranches += sp.kStats.DivergentBranches
-		pk.BankConflictCycles += sp.kStats.BankConflictCycles
-		for sp2, v := range sp.kStats.MemOps {
-			pk.MemOps[sp2] += v
+		// Fold the kernel's tally into the totals, then into its
+		// per-kernel entry with what the launch adds: its cycles, and its
+		// DRAM traffic, which is shared and so attributed on the
+		// single-kernel path only.
+		ks := ls.tally[sp.idx]
+		ks.Launches, ks.CTAs = 1, sp.launch.Grid
+		g.Stats.Merge(ks)
+		ks.Cycles = ls.now
+		ks.PeakBytesPerCycle = g.Stats.PeakBytesPerCycle
+		if len(ls.specs) == 1 {
+			ks.DRAMBytes, ks.DRAMTxns = dramBytes, dramTxns
 		}
-		for i := range pk.Occupancy {
-			pk.Occupancy[i] += sp.kStats.Occupancy[i]
-		}
-	}
-	// DRAM traffic is shared; attribute it to the whole concurrent launch
-	// on the single-kernel path only.
-	if len(ls.specs) == 1 {
-		pk := g.Stats.Kernel(ls.specs[0].k.Name)
-		pk.DRAMBytes += dramBytes
-		pk.DRAMTxns += dramTxns
+		g.Stats.Kernel(sp.k.Name).Merge(ks)
 	}
 	return nil
 }

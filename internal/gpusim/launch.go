@@ -125,38 +125,32 @@ type LaunchSpec struct {
 	Mem    *isa.Memory
 }
 
-// runSpec is one kernel of a launch: its dispatch cursor, per-kernel
-// stats, and the recorded streams its warps replay. A live launch's
-// trace fills in CTA by CTA as its producer publishes them (feed, see
-// feed.go); a replayed launch's trace is complete and feed is nil.
-// Either way the timing loop never touches benchmark memory.
+// runSpec is one kernel of a launch: its dispatch cursor and the
+// recorded streams its warps replay. A live launch's trace fills in CTA
+// by CTA as its producer publishes them (feed, see feed.go); a replayed
+// launch's trace is complete and feed is nil. Either way the timing loop
+// never touches benchmark memory.
 type runSpec struct {
 	idx     int
 	k       *isa.Kernel
 	launch  isa.Launch
-	kStats  *Stats
 	nextCTA int
 
 	trace *isa.LaunchTrace
 	feed  *ctaFeed
 }
 
-// statsSink is where one execution stream accumulates counters: the
-// launch-wide stats plus one per-kernel entry per runSpec, indexed by
-// runSpec.idx. The sequential path uses a single sink backed by
-// GPU.Stats; the parallel path gives each worker its own zeroed sink and
-// merges them deterministically after the run.
-type statsSink struct {
-	g *Stats
-	k []*Stats
-}
-
-func newStatsSink(cfg *Config, nspecs int) statsSink {
-	sink := statsSink{g: NewStats(cfg.Name), k: make([]*Stats, nspecs)}
-	for i := range sink.k {
-		sink.k[i] = NewStats(cfg.Name)
+// newTally returns one zeroed Stats per kernel of a launch, indexed by
+// runSpec.idx: where an execution stream counts each kernel's
+// instructions, occupancy, branches, memory operations and bank
+// conflicts. The sequential loop counts into the launch's tally; each
+// epoch worker counts into its own and the run merges them after.
+func newTally(nspecs int) []*Stats {
+	t := make([]*Stats, nspecs)
+	for i := range t {
+		t[i] = new(Stats)
 	}
-	return sink
+	return t
 }
 
 // issuedStep is one warp instruction issued during a cycle, carrying the
@@ -177,7 +171,7 @@ type launchState struct {
 	dram    dramModel
 	ms      *memSubsystem
 	sms     []*smRT
-	sink    statsSink // authoritative sink: GPU.Stats + per-spec kStats
+	tally   []*Stats // the launch's per-kernel counts (newTally)
 	rrSpec  int
 	pending int // CTAs not yet finished
 	now     uint64
@@ -268,7 +262,7 @@ func (ls *launchState) run() error {
 				}
 				continue
 			}
-			ok, err := ls.execOne(sm, ls.sink, &step, ls.now)
+			ok, err := ls.execOne(sm, &step, ls.now)
 			if err != nil {
 				return err
 			}
@@ -358,13 +352,13 @@ func (ls *launchState) nextEvent() (uint64, bool) {
 
 // execOne asks the scheduler for a warp on the SM, replays one warp
 // instruction, and charges everything that depends only on SM-local
-// state into the sink: instruction/occupancy counters,
+// state into the launch's tally: instruction/occupancy counters,
 // ALU/SFU/control pricing, barrier arrival, and the SM-private memory
 // spaces (parameter, shared). Memory instructions that route through the
 // launch-global memory system are returned with mem=true for the caller
 // to price via priceShared. now is the launch clock of the sequential
 // loop, its only caller.
-func (ls *launchState) execOne(sm *smRT, sink statsSink, out *issuedStep, now uint64) (bool, error) {
+func (ls *launchState) execOne(sm *smRT, out *issuedStep, now uint64) (bool, error) {
 	if sm.skipUntil > now {
 		return false, nil
 	}
@@ -372,15 +366,15 @@ func (ls *launchState) execOne(sm *smRT, sink statsSink, out *issuedStep, now ui
 	if w == nil {
 		return false, nil // pick recorded sm.skipUntil
 	}
-	return true, ls.execWarp(sm, w, sink, out, now)
+	return true, ls.execWarp(sm, w, ls.tally, out, now)
 }
 
 // execWarp is execOne past warp selection: it decodes w's next recorded
 // instruction and settles every SM-local charge. The epoch path calls it
 // directly after its own pick, concurrently for SMs on different shards,
-// each shard with its own sink; now is then the SM's local clock. Its
+// each shard with its own tally; now is then the SM's local clock. Its
 // only error is a stream that cannot be decoded.
-func (ls *launchState) execWarp(sm *smRT, w *warpRT, sink statsSink, out *issuedStep, now uint64) error {
+func (ls *launchState) execWarp(sm *smRT, w *warpRT, tally []*Stats, out *issuedStep, now uint64) error {
 	st := &out.st
 	if err := w.w.Exec(nil, st); err != nil {
 		return err
@@ -398,20 +392,17 @@ func (ls *launchState) execWarp(sm *smRT, w *warpRT, sink statsSink, out *issued
 		sm.syncReady(w)
 	}
 	cfg := &ls.g.cfg
-	gs, ks := sink.g, sink.k[w.cta.spec.idx]
+	ks := tally[w.cta.spec.idx]
 	issue := ls.issueC
 	lat := uint64(cfg.ALULatency)
 
-	gs.WarpInstrs++
 	ks.WarpInstrs++
-	gs.ThreadInstrs += uint64(st.ActiveCount)
 	ks.ThreadInstrs += uint64(st.ActiveCount)
 	if st.ActiveCount > 0 {
 		bucket := (st.ActiveCount - 1) / 8
 		if bucket > 3 {
 			bucket = 3
 		}
-		gs.Occupancy[bucket]++
 		ks.Occupancy[bucket]++
 	}
 
@@ -421,19 +412,16 @@ func (ls *launchState) execWarp(sm *smRT, w *warpRT, sink statsSink, out *issued
 		lat = uint64(cfg.SFULatency)
 		issue *= 4 // SFU throughput is a quarter of the main pipeline
 	case isa.ClassCtl:
-		gs.BranchInstrs++
 		ks.BranchInstrs++
 		if st.Diverged {
-			gs.DivergentBranches++
 			ks.DivergentBranches++
 		}
 	case isa.ClassMem:
-		gs.MemOps[st.Instr.Space] += uint64(st.ActiveCount)
 		ks.MemOps[st.Instr.Space] += uint64(st.ActiveCount)
 		if sharedSpace(st.Instr.Space) {
 			out.mem = true
 		} else {
-			issue, lat = ls.ms.localCost(st, issue, gs, ks, &sm.bankScr)
+			issue, lat = ls.ms.localCost(st, issue, ks, &sm.bankScr)
 		}
 	case isa.ClassBar:
 		ls.barrier(w, now)
@@ -445,11 +433,11 @@ func (ls *launchState) execWarp(sm *smRT, w *warpRT, sink statsSink, out *issued
 
 // priceShared completes the pricing of a mem step through the shared
 // memory system. Must run serialized, in SM index order. Sharing
-// statistics always land in the authoritative sink — the tracker state
-// they accompany is launch-global.
+// statistics land in GPU.Stats directly — the tracker state they
+// accompany is launch-global.
 func (ls *launchState) priceShared(sm *smRT, step *issuedStep, now uint64) {
 	step.issue, step.lat = ls.ms.sharedCost(
-		now, sm.caches, step.w.cta.index, &step.st, step.issue, ls.sink.g)
+		now, sm.caches, step.w.cta.index, &step.st, step.issue, ls.g.Stats)
 }
 
 // settleTiming applies an issued step's charges to the SM and warp.

@@ -380,15 +380,14 @@ func sharedSpace(sp isa.Space) bool {
 
 // localCost prices the memory spaces private to an SM — parameter reads
 // and shared memory with its bank conflicts — charging conflict cycles
-// to gs and ks. Safe under concurrent per-shard execution.
-func (ms *memSubsystem) localCost(st *isa.Step, issue uint64, gs, ks *Stats, scr *bankScratch) (uint64, uint64) {
+// to ks. Safe under concurrent per-shard execution.
+func (ms *memSubsystem) localCost(st *isa.Step, issue uint64, ks *Stats, scr *bankScratch) (uint64, uint64) {
 	if st.Instr.Space == isa.SpaceParam {
 		return issue, uint64(ms.cfg.ParamLatency)
 	}
 	degree := ms.banks.degree(st.Accesses, scr)
 	if degree > 1 {
 		extra := uint64(degree-1) * issue
-		gs.BankConflictCycles += extra
 		ks.BankConflictCycles += extra
 		return issue * uint64(degree), uint64(ms.cfg.SharedLatency) + extra
 	}

@@ -17,34 +17,19 @@ import (
 // the same isa.ReplayWarps, so kernels are never re-executed and no
 // benchmark memory is allocated.
 //
-// Validity. Replay reproduces full execution bit-identically on
-// gpusim.Stats only when the replay configuration cannot change the
-// functional streams. The explicit predicate (Replayable) requires only
-// single-kernel launches (the concurrent-kernel path interleaves
-// dispatch cursors across kernels), no atomics (an atomic's observed
-// value depends on the warp schedule, and every timing knob changes the
-// schedule), and every PC fits the trace encoding.
+// The rule: a benchmark's trace replays bit-identically under every
+// configuration. The producer runs a launch's grid in CTA index order on
+// the benchmark's own memory whatever the configuration, so the recorded
+// streams — an atomic's returned value included — depend on the
+// benchmark's inputs alone, and a live run times exactly the streams a
+// replay reads. internal/core pins the rule for every benchmark, by
+// recording under perturbed schedules (schedule_test.go) and by
+// comparing replays with live runs across the experiment configurations
+// (Figure 4 channels, Figure 5 architectures, the Plackett-Burman rows).
 //
-// Any cross-config replay — even one that only changes DRAM channel
-// count — relies on the functional streams being schedule-independent:
-// a latency change reorders warp issue, so a kernel whose loads observe
-// values concurrently stored by other warps in the same launch could
-// record a stream the new schedule would not produce. Live execution
-// stakes its own bit-identity on exactly this workload invariant (the
-// producer runs CTAs in index order, whatever the timing schedule):
-// cross-CTA communication within a launch is absent or benign
-// same-value, warps of a CTA communicate through barriers, and
-// synchronization between launches happens through the host. Atomics —
-// the one schedule-visible instruction class — invalidate the trace at
-// capture. Under that invariant the streams are also independent of
-// CTA→SM placement, so traces replay across SM-count and occupancy
-// changes too. internal/core pins the invariant for every benchmark by
-// recording under perturbed schedules (schedule_test.go), and pins
-// replay's bit-identity across the experiment configurations (Figure 4
-// channels, Figure 5 architectures, the Plackett-Burman rows).
-//
-// A trace that is not replayable is a normal condition, not an error:
-// callers fall back to full execution.
+// Replay runs one kernel per launch, so a multi-kernel LaunchConcurrent
+// on a capturing GPU invalidates the capture, as does a failed launch;
+// Replayable then reports why.
 
 // RunTrace is the functional recording of one benchmark run: every
 // kernel launch the benchmark issued, in order, under the configuration
@@ -64,9 +49,9 @@ func (rt *RunTrace) Bytes() int64 { return rt.bytes }
 func (rt *RunTrace) NumLaunches() int { return len(rt.launches) }
 
 // Replayable reports whether the trace can drive replays — i.e. capture
-// saw nothing unrecordable — under any configuration (see the validity
-// discussion at the top of this file). A non-nil error carries the
-// reason (atomics, concurrent kernels, ...).
+// saw nothing unrecordable — under any configuration (see the rule at the
+// top of this file). A non-nil error carries the reason (a concurrent
+// launch or a failed one).
 func (rt *RunTrace) Replayable() error {
 	if rt.invalid != "" {
 		return fmt.Errorf("gpusim: trace not replayable: %s", rt.invalid)
@@ -149,23 +134,10 @@ func (g *GPU) Replay(rt *RunTrace) error {
 			return fmt.Errorf("gpusim: trace of kernel %s holds %d warp streams, its launch has %d warps",
 				lt.Kernel.Name, len(lt.Warps), want)
 		}
-		sp := &runSpec{
-			idx: 0, k: lt.Kernel, launch: lt.Launch, trace: lt,
-			kStats: NewStats(g.cfg.Name),
-		}
+		sp := &runSpec{idx: 0, k: lt.Kernel, launch: lt.Launch, trace: lt}
 		if err := g.runLaunch([]*runSpec{sp}); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// usesAtomics reports whether the kernel contains an atomic instruction.
-func usesAtomics(k *isa.Kernel) bool {
-	for i := range k.Instrs {
-		if k.Instrs[i].Op == isa.OpAtom {
-			return true
-		}
-	}
-	return false
 }

@@ -69,47 +69,100 @@ func TestTraceReplayBitIdentical(t *testing.T) {
 	}
 }
 
-// TestTraceAtomicsInvalidate asserts a kernel containing an atomic
-// invalidates its capture: the observed value of an atomic depends on
-// the warp schedule, which any timing knob perturbs.
-func TestTraceAtomicsInvalidate(t *testing.T) {
+// ticketKernel is a kernel whose atomic's return value sets its store
+// address: each thread takes a ticket from a global counter and writes
+// its global id to slot (7·ticket) mod n of the output.
+func ticketKernel() *isa.Kernel {
 	b := isa.NewBuilder()
-	ctr, one, d := b.I(), b.I(), b.I()
+	tid, cta, ntid, gid := b.I(), b.I(), b.I(), b.I()
+	ctr, out, n, one, ticket := b.I(), b.I(), b.I(), b.I(), b.I()
+	b.Rd(tid, isa.SpecTid)
+	b.Rd(cta, isa.SpecCta)
+	b.Rd(ntid, isa.SpecNTid)
+	b.IMul(gid, cta, ntid)
+	b.IAdd(gid, gid, tid)
 	b.LdParamI(ctr, 0)
+	b.LdParamI(out, 1)
+	b.LdParamI(n, 2)
 	b.MovI(one, 1)
-	b.AtomAdd(d, isa.SpaceGlobal, ctr, 0, one)
-	k := b.Build("atomic")
-	if !usesAtomics(k) {
-		t.Fatal("usesAtomics missed the AtomAdd")
-	}
+	b.AtomAdd(ticket, isa.SpaceGlobal, ctr, 0, one)
+	b.IMulI(ticket, ticket, 7)
+	b.IRem(ticket, ticket, n)
+	b.ShlI(ticket, ticket, 2)
+	b.IAdd(ticket, ticket, out)
+	b.St(isa.I32, isa.SpaceGlobal, ticket, 0, gid)
+	return b.Build("ticket")
+}
 
+// runTicket launches the ticket kernel over n threads on g and checks
+// that every thread wrote exactly one slot.
+func runTicket(t *testing.T, g *GPU, n int) {
+	t.Helper()
 	mem := isa.NewMemory()
-	a := mem.AllocGlobal(8)
-	mem.SetParamI(0, int64(a))
+	ctr := mem.AllocGlobal(4)
+	out := mem.AllocGlobal(4 * n)
+	mem.SetParamI(0, int64(ctr))
+	mem.SetParamI(1, int64(out))
+	mem.SetParamI(2, int64(n))
+	if err := g.Launch(ticketKernel(), isa.Launch{Grid: n / 128, Block: 128}, mem); err != nil {
+		t.Fatal(err)
+	}
+	seen := make([]bool, n)
+	for i := 0; i < n; i++ {
+		v := mem.ReadI32(isa.SpaceGlobal, out+uint64(4*i))
+		if v < 0 || int(v) >= n || seen[v] {
+			t.Fatalf("%s: slot %d holds %d, a repeat or out of range", g.cfg.Name, i, v)
+		}
+		seen[v] = true
+	}
+}
+
+// TestTraceAtomicsReplay captures a kernel whose atomic's return value
+// sets its store address and requires its replays to equal live runs on
+// every configuration: the producer runs CTAs in index order whatever
+// the timing model, so the ticket each thread draws does not depend on
+// the configuration.
+func TestTraceAtomicsReplay(t *testing.T) {
+	const n = 1024
 	g, err := New(Base8SM())
 	if err != nil {
 		t.Fatal(err)
 	}
 	tb := g.Capture()
-	if err := g.Launch(k, isa.Launch{Grid: 2, Block: 64}, mem); err != nil {
-		t.Fatal(err)
-	}
+	runTicket(t, g, n)
 	rt := tb.Trace()
-	if err := rt.Replayable(); err == nil || !strings.Contains(err.Error(), "atomics") {
-		t.Fatalf("Replayable = %v, want atomics rejection", err)
-	}
-	g2, err := New(Base8SM())
-	if err != nil {
+	if err := rt.Replayable(); err != nil {
 		t.Fatal(err)
 	}
-	if err := g2.Replay(rt); err == nil {
-		t.Fatal("Replay accepted an atomics-invalidated trace")
+
+	sharded := Base8SM()
+	sharded.Name = "base8sm-sharded"
+	sharded.ShardWorkers = 3
+	channels := Base()
+	channels.Name = "base-4ch"
+	channels.MemChannels = 4
+	for _, cfg := range []Config{Base(), Base8SM(), channels, GTX280(), GTX480(SharedBias), GTX480(L1Bias), sharded} {
+		replay, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := replay.Replay(rt); err != nil {
+			t.Fatalf("%s: %v", cfg.Name, err)
+		}
+		live, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runTicket(t, live, n)
+		if !reflect.DeepEqual(replay.Stats, live.Stats) {
+			t.Fatalf("%s: replay stats diverge from live execution\nreplay %+v\nlive   %+v", cfg.Name, replay.Stats, live.Stats)
+		}
 	}
 }
 
 // TestTraceConcurrentLaunchInvalidates asserts a multi-kernel launch
-// invalidates the capture: the concurrent-kernel path interleaves
-// dispatch cursors across kernels and is not recorded.
+// invalidates the capture, which Replay then refuses: Replay runs one
+// kernel per launch.
 func TestTraceConcurrentLaunchInvalidates(t *testing.T) {
 	const n = 512
 	k := vecAddKernel()
@@ -134,5 +187,12 @@ func TestTraceConcurrentLaunchInvalidates(t *testing.T) {
 	}
 	if rt.NumLaunches() != 0 || rt.Bytes() != 0 {
 		t.Fatalf("invalidated trace retains %d launches, %d bytes", rt.NumLaunches(), rt.Bytes())
+	}
+	g2, err := New(Base8SM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g2.Replay(rt); err == nil || !strings.Contains(err.Error(), "concurrent") {
+		t.Fatalf("Replay = %v, want concurrent-launch rejection", err)
 	}
 }

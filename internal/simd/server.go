@@ -24,6 +24,7 @@ package simd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -98,12 +99,18 @@ func NewServeMux(ctx *experiments.Context) *http.ServeMux {
 	return mux
 }
 
+// maxRequestBytes bounds a POST body. A valid request is a few dozen
+// bytes; without a bound, json.Decoder would read through an unknown
+// field of any size.
+const maxRequestBytes = 64 << 10
+
 // parseRequest accepts either form: query parameters on any method, or a
 // JSON body on POST.
-func parseRequest(r *http.Request) (Request, error) {
+func parseRequest(w http.ResponseWriter, r *http.Request) (Request, error) {
 	var req Request
 	if r.Method == http.MethodPost && r.Body != nil {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
+		if err := json.NewDecoder(body).Decode(&req); err != nil {
 			return req, fmt.Errorf("bad JSON body: %w", err)
 		}
 		if req.Channels < 0 {
@@ -136,9 +143,9 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 	defer span.End()
 	reg.Counter(obs.Name("simd.requests", "endpoint", "characterize")).Inc()
 
-	req, err := parseRequest(r)
+	req, err := parseRequest(w, r)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, "characterize", err)
+		s.fail(w, rejectStatus(err), "characterize", err)
 		return
 	}
 	b, ok := kernels.ByAbbrev(req.Bench)
@@ -189,9 +196,9 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	defer span.End()
 	reg.Counter(obs.Name("simd.requests", "endpoint", "profiles")).Inc()
 
-	req, err := parseRequest(r)
+	req, err := parseRequest(w, r)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, "profiles", err)
+		s.fail(w, rejectStatus(err), "profiles", err)
 		return
 	}
 	size := s.ctx.Size
@@ -206,6 +213,16 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	s.reply(w, &ProfilesResponse{
 		Size: size.String(), ElapsedNS: time.Since(t0).Nanoseconds(), Profiles: ps,
 	})
+}
+
+// rejectStatus is the status answering a request parseRequest rejects:
+// 413 for a body over maxRequestBytes, 400 otherwise.
+func rejectStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // benchmarkInfo is one /benchmarks row.

@@ -114,6 +114,21 @@ func TestCharacterizeRejectsAbsurdConfig(t *testing.T) {
 	}
 }
 
+// TestCharacterizeRejectsOversizedBody sends a valid request padded to
+// 1 MiB by an unknown field: it must get a 413 without simulating.
+func TestCharacterizeRejectsOversizedBody(t *testing.T) {
+	srv, reg := newTestServer(t)
+	body := `{"bench":"BFS","size":"test","pad":"` + strings.Repeat("x", 1<<20) + `"}`
+	rr := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/characterize", strings.NewReader(body)))
+	if rr.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413: %s", rr.Code, rr.Body)
+	}
+	if got := reg.Counters()[obs.Name("exp.gpu.runs", "bench", "BFS@test")]; got != 0 {
+		t.Fatalf("exp.gpu.runs = %d, want 0", got)
+	}
+}
+
 // TestConcurrentRequestsComputeOnce is the service-level singleflight
 // guarantee: N clients racing the same uncached key get identical
 // responses from exactly one simulation (exp.gpu.runs counts executed
