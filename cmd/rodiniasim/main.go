@@ -132,7 +132,7 @@ func main() {
 	// sweep traces each benchmark's functional execution once and replays
 	// it for the other configurations. A single-config run executes
 	// directly and keeps no trace, which nothing would replay (the medium
-	// suite's traces take about 160 MB) — unless a persistent store is
+	// suite's traces take about 79 MB) — unless a persistent store is
 	// attached, whose later runs the trace may warm-start.
 	ctx, err := cf.Context(reg)
 	if err != nil {

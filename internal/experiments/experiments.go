@@ -118,8 +118,9 @@ const (
 )
 
 // DefaultTraceCacheBytes is the trace tier's byte bound. The full
-// 12-benchmark Rodinia suite records about 160 MB of traces (one trace
-// per benchmark instance serves every configuration of a sweep), so
+// 12-benchmark Rodinia suite records about 79 MB of traces at the medium
+// class (one trace per benchmark instance serves every configuration of
+// a sweep, and a strided memory step costs one base and stride), so
 // 1 GiB holds the suite plus the Table III program variants with room to
 // spare while keeping a large multi-suite sweep from growing without
 // bound.
@@ -335,10 +336,21 @@ func (c *Context) Profiles() []*core.CPUProfile {
 }
 
 // ProfilesAt is Profiles at an explicit size class; each class is
-// memoized independently. The sweep is one artifact on disk: profile
-// order is part of it. A panic in the profiling pass reaches every
-// caller waiting on it.
+// memoized independently. It panics when the profiling pass fails;
+// CPUProfilesAt returns that failure instead.
 func (c *Context) ProfilesAt(size sizes.Class) []*core.CPUProfile {
+	ps, err := c.CPUProfilesAt(size)
+	if err != nil {
+		panic(err)
+	}
+	return ps
+}
+
+// CPUProfilesAt is ProfilesAt returning the profiling pass's failure as
+// an error. The sweep is one artifact on disk: profile order is part of
+// it. The pass returns no errors of its own, so a failure is its panic,
+// which reaches every caller waiting on it.
+func (c *Context) CPUProfilesAt(size sizes.Class) ([]*core.CPUProfile, error) {
 	src := source[[]*core.CPUProfile]{compute: func() ([]*core.CPUProfile, error) {
 		return core.CharacterizeCPUAllObs(workloads.All(), size, c.Workers, c.Obs), nil
 	}}
@@ -365,11 +377,7 @@ func (c *Context) ProfilesAt(size sizes.Class) []*core.CPUProfile {
 			}
 		}
 	}
-	ps, err := c.profiles.get(size, src)
-	if err != nil {
-		panic(err) // the profiling pass returns no errors, so this is its panic
-	}
-	return ps
+	return c.profiles.get(size, src)
 }
 
 // All returns every experiment in paper order.

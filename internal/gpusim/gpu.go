@@ -51,10 +51,13 @@ type GPU struct {
 	obsC *gpuCounters
 }
 
+// smCaches is one SM's state that outlives a launch: its private caches
+// and its bank-conflict scratch (bankScratch).
 type smCaches struct {
-	l1     *cache
-	constC *cache
-	texC   *cache
+	l1      *cache
+	constC  *cache
+	texC    *cache
+	bankScr bankScratch
 }
 
 var _ isa.Executor = (*GPU)(nil)

@@ -76,11 +76,6 @@ type smRT struct {
 	usedThreads int
 	usedRegs    int
 	usedShared  int
-
-	// bankScr is the SM's scratch for the shared-memory bank-conflict
-	// model; SM-owned so concurrent shards price conflicts without
-	// allocating or sharing state.
-	bankScr bankScratch
 }
 
 // blockedAt marks a warp that cannot issue in the ready array. Real
@@ -421,7 +416,7 @@ func (ls *launchState) execWarp(sm *smRT, w *warpRT, tally []*Stats, out *issued
 		if sharedSpace(st.Instr.Space) {
 			out.mem = true
 		} else {
-			issue, lat = ls.ms.localCost(st, issue, ks, &sm.bankScr)
+			issue, lat = ls.ms.localCost(st, issue, ks, &sm.caches.bankScr)
 		}
 	case isa.ClassBar:
 		ls.barrier(w, now)

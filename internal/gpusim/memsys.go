@@ -93,7 +93,7 @@ func newBankModel(cfg *Config) bankModel {
 // distinct words seen in the current lane group. A warp has at most 32
 // lanes, so 32 words per bank always suffice, and reusing the scratch
 // keeps the conflict model allocation-free on the hot path. Each SM owns
-// one (smRT.bankScr) so concurrent shards never share it.
+// one (smCaches.bankScr) so concurrent shards never share it.
 type bankScratch struct {
 	words [32][32]uint64
 	count [32]uint8

@@ -30,15 +30,29 @@ import (
 //     set followed by the absolute 24-bit PC, and, when the flag byte
 //     says the mask changed, the 4-byte active mask (masks change at
 //     divergence points, not per instruction);
-//   - a memory step (either form) appends one address per active lane,
-//     as zigzag-varint deltas from the warp's previous access — SIMT
-//     access patterns are overwhelmingly small strides across lanes and
-//     loop iterations, so most addresses cost one byte instead of eight.
+//   - a memory step (either form) then records its active lanes'
+//     addresses, led by a mode byte.
 //
-// Lane numbers are the set bits of the mask in ascending order (execMem
-// visits lanes in exactly that order), the access width comes from the
-// instruction's MType, and store-ness from its opcode, so none of them
-// are recorded.
+// SIMT access is overwhelmingly strided across lanes, so most memory
+// steps record a base and a stride however many lanes are active. Values
+// are zigzag varints, and a base is a delta from the warp's previous
+// address: 0 before its first memory step, then that step's base, or its
+// last lane's address after a per-lane record. The modes, with lane L's
+// address:
+//
+//   - addrStride, one stride across the warp: the lane-0 base, then the
+//     stride; base + L*stride (stride 0 is a broadcast);
+//   - addrHalf, one stride within each half-warp: the lane-0 base, the
+//     stride, then the second half-warp's offset from the first;
+//     base + (L mod 16)*stride, plus the offset for L ≥ 16;
+//   - addrLanes, the fallback: one delta per active lane, each from the
+//     address before it.
+//
+// The recorder writes the first mode that reproduces every active lane's
+// address exactly. Lane numbers are the set bits of the mask in ascending
+// order (execMem visits lanes in exactly that order), the access width
+// comes from the instruction's MType, and store-ness from its opcode, so
+// none of them are recorded.
 
 const (
 	tracePCBits = 24
@@ -55,21 +69,26 @@ const (
 	traceMaxAdvance = 0x80
 )
 
+// Mode byte of a memory step's address record.
+const (
+	addrStride = iota // lane-0 base, stride
+	addrHalf          // lane-0 base, lane stride, second-half offset
+	addrLanes         // one delta per active lane
+)
+
 // WarpTrace is one warp's recorded stream: a view into its launch's
 // shared slab.
 type WarpTrace struct {
 	Data []byte
 }
 
-// appendAddrDelta appends one address as a zigzag varint delta.
-func appendAddrDelta(dst []byte, prev, addr uint64) []byte {
-	d := int64(addr - prev)
-	u := uint64(d<<1) ^ uint64(d>>63)
-	for u >= 0x80 {
-		dst = append(dst, byte(u)|0x80)
-		u >>= 7
-	}
-	return append(dst, byte(u))
+func zigzag(d uint64) uint64   { return d<<1 ^ uint64(int64(d)>>63) }
+func unzigzag(u uint64) uint64 { return u>>1 ^ -(u & 1) }
+
+// stridedAddr is lane's address in a strided record; a warp stride is
+// the half-warp form whose offset is 16 strides.
+func stridedAddr(base, stride, off uint64, lane int) uint64 {
+	return base + uint64(lane&15)*stride + uint64(lane>>4)*off
 }
 
 // LaunchTrace is the functional recording of one kernel launch: every
@@ -107,7 +126,9 @@ type WarpRecorder struct {
 }
 
 // Record appends one executed step. The caller guarantees st describes
-// an instruction of the recorder's kernel (PC within the stream).
+// an instruction of the recorder's kernel (PC within the stream) and,
+// for a memory instruction, one access per active lane in ascending lane
+// order, as Warp.Exec reports them.
 func (r *WarpRecorder) Record(st *Step) {
 	adv := st.PC - r.prevPC
 	r.prevPC = st.PC
@@ -134,11 +155,80 @@ func (r *WarpRecorder) Record(st *Step) {
 			r.prevMask = st.ActiveMask
 		}
 	}
-	for i := range st.Accesses {
-		a := st.Accesses[i].Addr
-		r.data = appendAddrDelta(r.data, r.prevAddr, a)
+	if st.Instr.Op.Class() == ClassMem {
+		r.recordAddrs(st.Accesses)
+	}
+}
+
+// recordAddrs appends a memory step's address record in the first mode
+// that reproduces every access.
+func (r *WarpRecorder) recordAddrs(acc []MemAccess) {
+	if n := len(acc); n > 0 {
+		stride, ok := uint64(0), true
+		if n > 1 {
+			stride, ok = laneStride(&acc[0], &acc[1])
+		}
+		base := acc[0].Addr - uint64(acc[0].Lane)*stride
+		if ok && stridedFits(acc, base, stride, stride<<4) {
+			r.appendStrided(addrStride, base, stride)
+			return
+		}
+		// The half-warp form needs both halves active: with one, the warp
+		// form above derived the same stride and already failed.
+		h := 0
+		for h < n && acc[h].Lane < 16 {
+			h++
+		}
+		if h > 0 && h < n {
+			stride, ok = 0, true
+			switch {
+			case h > 1:
+				stride, ok = laneStride(&acc[0], &acc[1])
+			case n-h > 1:
+				stride, ok = laneStride(&acc[h], &acc[h+1])
+			}
+			base = acc[0].Addr - uint64(acc[0].Lane)*stride
+			off := acc[h].Addr - stridedAddr(base, stride, 0, acc[h].Lane)
+			if ok && stridedFits(acc, base, stride, off) {
+				r.appendStrided(addrHalf, base, stride)
+				r.data = binary.AppendUvarint(r.data, zigzag(off))
+				return
+			}
+		}
+	}
+	r.data = append(r.data, addrLanes)
+	for i := range acc {
+		a := acc[i].Addr
+		r.data = binary.AppendUvarint(r.data, zigzag(a-r.prevAddr))
 		r.prevAddr = a
 	}
+}
+
+// appendStrided appends a strided record's mode, base and stride; the
+// base becomes the warp's previous address.
+func (r *WarpRecorder) appendStrided(mode byte, base, stride uint64) {
+	r.data = append(r.data, mode)
+	r.data = binary.AppendUvarint(r.data, zigzag(base-r.prevAddr))
+	r.data = binary.AppendUvarint(r.data, zigzag(stride))
+	r.prevAddr = base
+}
+
+// laneStride returns the per-lane stride from a's address to b's (b a
+// later lane), and whether their lane distance divides it exactly.
+func laneStride(a, b *MemAccess) (uint64, bool) {
+	d, k := int64(b.Addr-a.Addr), int64(b.Lane-a.Lane)
+	return uint64(d / k), d%k == 0
+}
+
+// stridedFits reports whether a strided record of base, stride and
+// offset reproduces every access.
+func stridedFits(acc []MemAccess, base, stride, off uint64) bool {
+	for i := range acc {
+		if stridedAddr(base, stride, off, acc[i].Lane) != acc[i].Addr {
+			return false
+		}
+	}
+	return true
 }
 
 // Recording buffers are recycled across warps and launches: growth slack
@@ -237,7 +327,8 @@ func (r *LaunchRecorder) Release() {
 // barriers park the warp until ReleaseBarrier just as in live execution.
 //
 // A ReplayWarp reads its trace view but never writes it, so any number
-// of replays may share one LaunchTrace concurrently.
+// of replays may share one LaunchTrace concurrently. It holds no access
+// buffer: Exec decodes a memory step into the caller's Step (see Exec).
 type ReplayWarp struct {
 	kernel   *Kernel
 	data     []byte
@@ -248,7 +339,6 @@ type ReplayWarp struct {
 
 	atBarrier bool
 	done      bool
-	accessBuf [WarpSize]MemAccess
 }
 
 var _ WarpExec = (*ReplayWarp)(nil)
@@ -266,16 +356,26 @@ func (w *ReplayWarp) exhausted() error {
 	return fmt.Errorf("isa: replay of kernel %s exhausted its trace (%d bytes) with the warp still live", w.kernel.Name, len(w.data))
 }
 
+// corrupt reports bytes at pos that no recorder writes.
+func (w *ReplayWarp) corrupt(pos int, format string, args ...any) error {
+	return fmt.Errorf("isa: replay of kernel %s: %s at byte %d of its trace", w.kernel.Name, fmt.Sprintf(format, args...), pos)
+}
+
 // Exec reproduces the warp's next recorded step. It mirrors Warp.Exec's
 // contract: not callable at a barrier, and a no-op Done step once the
-// warp has finished.
+// warp has finished. A memory step's accesses are decoded into the
+// backing array of st.Accesses, grown to WarpSize when it is shorter, so
+// they stay valid until the next Exec into the same Step; concurrent
+// replays must pass Steps of their own. Bytes that do not decode are an
+// error, never a panic, and every step consumes at least one byte.
 func (w *ReplayWarp) Exec(env *Env, st *Step) error {
+	buf := st.Accesses[:0]
 	if w.done {
-		*st = Step{Done: true}
+		*st = Step{Done: true, Accesses: buf}
 		return nil
 	}
 	if w.atBarrier {
-		*st = Step{}
+		*st = Step{Accesses: buf}
 		return fmt.Errorf("isa: Exec on warp waiting at barrier")
 	}
 	d, p := w.data, w.pos
@@ -303,57 +403,34 @@ func (w *ReplayWarp) Exec(env *Env, st *Step) error {
 			}
 			mask = binary.LittleEndian.Uint32(d[p:])
 			p += 4
-			w.prevMask = mask
 		}
 	}
-	w.prevPC = pc
+	if pc >= len(w.kernel.Instrs) {
+		return w.corrupt(w.pos, "PC %d outside the kernel's %d instructions", pc, len(w.kernel.Instrs))
+	}
 	in := &w.kernel.Instrs[pc]
 	*st = Step{
 		Instr:       in,
 		PC:          pc,
 		ActiveMask:  mask,
 		ActiveCount: bits.OnesCount32(mask),
+		Accesses:    buf,
 		AtBarrier:   fb&traceBarrier != 0,
 		Done:        fb&traceDone != 0,
 		Diverged:    fb&traceDiverged != 0,
 	}
 	if in.Op.Class() == ClassMem {
-		size := in.MType.Size()
-		store := in.Op == OpSt || in.Op == OpStF || in.Op == OpAtom
-		// Hot loop: one decoded access per set mask bit, filled by index.
-		prev := w.prevAddr
-		buf := w.accessBuf[:st.ActiveCount]
-		i := 0
-		for m := mask; m != 0; m &= m - 1 {
-			// Decode one zigzag-varint delta (the single-byte case is by
-			// far the common one).
-			var u uint64
-			if p < len(d) && d[p] < 0x80 {
-				u = uint64(d[p])
-				p++
-			} else {
-				var shift uint
-				for {
-					if p >= len(d) {
-						return w.exhausted()
-					}
-					b := d[p]
-					p++
-					u |= uint64(b&0x7f) << shift
-					if b < 0x80 {
-						break
-					}
-					shift += 7
-				}
-			}
-			prev += uint64(int64(u>>1) ^ -int64(u&1))
-			buf[i] = MemAccess{Lane: bits.TrailingZeros32(m) & 31, Addr: prev, Size: size, Store: store}
-			i++
+		if cap(buf) < WarpSize {
+			buf = make([]MemAccess, WarpSize)
 		}
-		w.prevAddr = prev
-		st.Accesses = buf
+		var err error
+		if st.Accesses, p, err = w.decodeAddrs(d, p, mask, in, buf[:st.ActiveCount]); err != nil {
+			return err
+		}
 	}
 	w.pos = p
+	w.prevPC = pc
+	w.prevMask = mask
 	if st.AtBarrier {
 		w.atBarrier = true
 	}
@@ -361,6 +438,109 @@ func (w *ReplayWarp) Exec(env *Env, st *Step) error {
 		w.done = true
 	}
 	return nil
+}
+
+// decodeAddrs decodes the address record at d[p:] into buf, one access
+// per set bit of mask, and returns buf and the position after the record.
+func (w *ReplayWarp) decodeAddrs(d []byte, p int, mask uint32, in *Instr, buf []MemAccess) ([]MemAccess, int, error) {
+	if p >= len(d) {
+		return nil, p, w.exhausted()
+	}
+	size := in.MType.Size()
+	store := in.Op == OpSt || in.Op == OpStF || in.Op == OpAtom
+	mode := d[p]
+	p++
+	switch mode {
+	case addrStride, addrHalf:
+		var v [3]uint64 // base delta, stride, second-half offset
+		n := 2
+		if mode == addrHalf {
+			n = 3
+		}
+		for j := 0; j < n; j++ {
+			var err error
+			if v[j], p, err = w.varint(d, p); err != nil {
+				return nil, p, err
+			}
+		}
+		base, stride, off := w.prevAddr+v[0], v[1], v[2]
+		if mode == addrStride {
+			off = stride << 4
+		}
+		expandStrided(buf, mask, base, stride, off, size, store)
+		w.prevAddr = base
+		return buf, p, nil
+	case addrLanes:
+		// Hot loop: one decoded access per set mask bit, filled by index.
+		prev := w.prevAddr
+		i := 0
+		for m := mask; m != 0; m &= m - 1 {
+			// Decode one delta inline: a call here would spill the loop's
+			// registers on every lane. The single-byte delta is by far the
+			// common case.
+			var u uint64
+			if p < len(d) && d[p] < 0x80 {
+				u = uint64(d[p])
+				p++
+			} else {
+				for shift := uint(0); ; shift += 7 {
+					if p >= len(d) {
+						return nil, p, w.exhausted()
+					}
+					if shift > 63 {
+						return nil, p, w.corrupt(p, "varint overflows 64 bits")
+					}
+					b := d[p]
+					p++
+					u |= uint64(b&0x7f) << shift
+					if b < 0x80 {
+						break
+					}
+				}
+			}
+			prev += unzigzag(u)
+			buf[i] = MemAccess{Lane: bits.TrailingZeros32(m), Addr: prev, Size: size, Store: store}
+			i++
+		}
+		w.prevAddr = prev
+		return buf, p, nil
+	}
+	return nil, p, w.corrupt(p-1, "unknown address mode %#x", mode)
+}
+
+// expandStrided fills buf with the accesses of mask's lanes under a
+// strided record. A full warp, by far the common mask, walks each
+// half-warp by adding the stride.
+func expandStrided(buf []MemAccess, mask uint32, base, stride, off uint64, size int, store bool) {
+	if mask == 1<<WarpSize-1 {
+		buf = buf[:WarpSize]
+		for h, a := range [2]uint64{base, base + off} {
+			for lane := h * 16; lane < h*16+16; lane++ {
+				buf[lane] = MemAccess{Lane: lane, Addr: a, Size: size, Store: store}
+				a += stride
+			}
+		}
+		return
+	}
+	i := 0
+	for m := mask; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		buf[i] = MemAccess{Lane: lane, Addr: stridedAddr(base, stride, off, lane), Size: size, Store: store}
+		i++
+	}
+}
+
+// varint decodes the zigzag varint at d[p:] (p ≤ len(d)) and returns it
+// with the position after it.
+func (w *ReplayWarp) varint(d []byte, p int) (uint64, int, error) {
+	u, n := binary.Uvarint(d[p:])
+	switch {
+	case n == 0:
+		return 0, p, w.exhausted()
+	case n < 0:
+		return 0, p, w.corrupt(p, "varint overflows 64 bits")
+	}
+	return unzigzag(u), p + n, nil
 }
 
 // MakeReplayCTA instantiates block ctaID of a recorded launch with

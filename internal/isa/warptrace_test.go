@@ -3,6 +3,7 @@ package isa
 import (
 	"math/bits"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -55,14 +56,25 @@ func maskStep(k *Kernel, pc int, mask uint32, addrs []uint64) Step {
 
 // TestWarpTraceRoundTrip records a stream covering compact steps, full
 // headers (divergence, mask changes, long forward jumps, backward
-// jumps), varint address patterns (ascending strides, large jumps,
-// descending runs, broadcasts), a barrier and the exit, then replays it
-// and asserts every reconstructed Step matches bit for bit.
+// jumps), every address mode (a warp stride, a broadcast, a negative
+// stride, partial masks, a single lane, half-warp strides, and steps
+// that fit neither form), a barrier and the exit, then replays it and
+// asserts every reconstructed Step matches bit for bit. It also pins
+// the bytes each step appends, so a step that silently falls back to
+// per-lane addresses fails even though it still replays.
 func TestWarpTraceRoundTrip(t *testing.T) {
 	k := tripKernel(t)
 	full := uint32(0xffffffff)
 	half := uint32(0x0000ffff)
 
+	// byLane lays out addresses for a mask's set bits, lane by lane.
+	byLane := func(mask uint32, addr func(lane uint64) uint64) []uint64 {
+		var out []uint64
+		for m := mask; m != 0; m &= m - 1 {
+			out = append(out, addr(uint64(bits.TrailingZeros32(m))))
+		}
+		return out
+	}
 	ldAddrs := make([]uint64, 16)
 	for i := range ldAddrs {
 		switch {
@@ -74,33 +86,69 @@ func TestWarpTraceRoundTrip(t *testing.T) {
 			ldAddrs[i] = 0x4000_0000_0000 - uint64(i)*256 // descending run
 		}
 	}
-	stAddrs := make([]uint64, 32)
-	for i := range stAddrs {
-		stAddrs[i] = 0x2000 // broadcast: every delta zero
-	}
+	oneHalf := full &^ half
+	splitHalf := uint32(1<<3) | oneHalf
 
-	steps := []Step{
-		maskStep(k, 0, full, nil), // compact: first advance
-		maskStep(k, 1, full, nil), // compact
-		func() Step { // full: diverged
+	// Each step lists the bytes Record appends for it: a compact step is
+	// 1, a full header 4, plus 4 for a new mask; a memory step adds its
+	// mode byte and varints (zigzag values under 64 take 1 byte, under
+	// 8192 2, under 2^20 3).
+	steps := []struct {
+		st Step
+		n  int
+	}{
+		{maskStep(k, 0, full, nil), 8}, // full: the first step sets the mask
+		{maskStep(k, 1, full, nil), 1}, // compact
+		{func() Step { // full: diverged
 			s := maskStep(k, 2, full, nil)
 			s.Diverged = true
 			return s
-		}(),
-		maskStep(k, 3, half, ldAddrs), // full: mask change + load
-		maskStep(k, 150, half, nil),   // full: advance 147 > 128
-		maskStep(k, 151, half, nil),   // compact
-		maskStep(k, 4, full, stAddrs), // full: backward jump + mask + store
-		func() Step { // full: barrier
+		}(), 4},
+		// Neither form, one half-warp active: per-lane deltas 0x1000 (2),
+		// 7 × 4 (1), the 2^46 jump (7), then -2304 (2) and 6 × -256 (2).
+		{maskStep(k, 3, half, ldAddrs), 8 + 1 + 30},
+		{maskStep(k, 150, half, nil), 4}, // full: advance 147 > 128
+		{maskStep(k, 151, half, nil), 1}, // compact
+		// Broadcast store (stride 0) after a backward jump with a new
+		// mask: base delta -(2^46 - 0x2f00) (7), stride 0 (1).
+		{maskStep(k, 4, full, byLane(full, func(uint64) uint64 { return 0x2000 })), 8 + 1 + 7 + 1},
+		// Warp stride 4: base delta 0xe000 (3), stride (1).
+		{maskStep(k, 3, full, byLane(full, func(l uint64) uint64 { return 0x10000 + 4*l })), 4 + 1 + 3 + 1},
+		// Negative stride -8: base delta 0x100 (2), stride (1).
+		{maskStep(k, 3, full, byLane(full, func(l uint64) uint64 { return 0x10100 - 8*l })), 4 + 1 + 2 + 1},
+		// Partial mask, lanes 4-7 and 16-23 at stride 4 from lane 0's
+		// 0x20000: base delta 0xff00 (3), stride (1).
+		{maskStep(k, 3, 0x00ff00f0, byLane(0x00ff00f0, func(l uint64) uint64 { return 0x20000 + 4*l })), 8 + 1 + 3 + 1},
+		// One active lane: stride 0, base delta 0x400 (2).
+		{maskStep(k, 3, 1<<7, []uint64{0x20400}), 8 + 1 + 2 + 1},
+		// A half-warp step with the first half inactive is a warp stride
+		// from an extrapolated lane-0 base 0x2ffc0: base delta 0xfbc0 (3).
+		{maskStep(k, 3, oneHalf, byLane(oneHalf, func(l uint64) uint64 { return 0x30000 + 4*(l-16) })), 8 + 1 + 3 + 1},
+		// Half-warp rows 0x1000 apart: base delta 0x10040 (3), stride
+		// (1), offset 0x1000 (2).
+		{maskStep(k, 3, full, byLane(full, func(l uint64) uint64 { return 0x40000 + 0x1000*(l>>4) + 4*(l&15) })), 8 + 1 + 3 + 1 + 2},
+		// Half-warp with one lane in the first half, whose stride comes
+		// from the second: base delta 0x10000 (3), stride (1), offset
+		// 0x8000 (3).
+		{maskStep(k, 3, splitHalf, byLane(splitHalf, func(l uint64) uint64 { return 0x50000 + 0x8000*(l>>4) + 4*(l&15) })), 8 + 1 + 3 + 1 + 3},
+		// Both halves strided, but by 4 and 8: neither form. Deltas
+		// 0x10000 (3), 15 × 4 (1), 0xfc4 (2), 15 × 8 (1).
+		{maskStep(k, 3, full, byLane(full, func(l uint64) uint64 {
+			if l < 16 {
+				return 0x60000 + 4*l
+			}
+			return 0x61000 + 8*(l-16)
+		})), 8 + 1 + 3 + 15 + 2 + 15},
+		{func() Step { // full: barrier
 			s := maskStep(k, 5, full, nil)
 			s.AtBarrier = true
 			return s
-		}(),
-		func() Step { // full: exit
+		}(), 4},
+		{func() Step { // full: exit
 			s := maskStep(k, 206, full, nil)
 			s.Done = true
 			return s
-		}(),
+		}(), 4},
 	}
 
 	launch := Launch{Grid: 1, Block: 32}
@@ -110,7 +158,11 @@ func TestWarpTraceRoundTrip(t *testing.T) {
 	}
 	ws := rec.BeginCTA(0)
 	for i := range steps {
-		ws[0].Record(&steps[i])
+		before := len(ws[0].data)
+		ws[0].Record(&steps[i].st)
+		if n := len(ws[0].data) - before; n != steps[i].n {
+			t.Errorf("step %d (PC %d) appended %d bytes, want %d", i, steps[i].st.PC, n, steps[i].n)
+		}
 	}
 	rec.EndCTA()
 	lt := rec.Finalize()
@@ -128,7 +180,7 @@ func TestWarpTraceRoundTrip(t *testing.T) {
 		if err := w.Exec(cta.Env, &got); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
-		want := steps[i]
+		want := steps[i].st
 		if got.Instr != &k.Instrs[want.PC] {
 			t.Fatalf("step %d: Instr points at PC %d, want %d", i, got.PC, want.PC)
 		}
@@ -161,8 +213,54 @@ func TestWarpTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWarpTraceExhaustion replays a stream with no recorded exit and
-// asserts the replay fails loudly instead of fabricating steps.
+// TestReplayDecodesIntoCallerBuffer replays the memory steps of two
+// warps, alternately, into one zero Step: every decode must land in the
+// buffer the first one allocated, since a ReplayWarp holds none.
+func TestReplayDecodesIntoCallerBuffer(t *testing.T) {
+	k := tripKernel(t)
+	rec, err := NewLaunchRecorder(k, Launch{Grid: 1, Block: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := uint32(0xffffffff)
+	addrs := func(w uint64) []uint64 {
+		out := make([]uint64, 32)
+		for i := range out {
+			out[i] = w<<20 + uint64(i*i) // neither form: per-lane deltas
+		}
+		return out
+	}
+	ws := rec.BeginCTA(0)
+	for w := range ws {
+		for _, pc := range []int{3, 4} {
+			s := maskStep(k, pc, full, addrs(uint64(w)))
+			ws[w].Record(&s)
+		}
+	}
+	rec.EndCTA()
+	cta := MakeReplayCTA(rec.Finalize(), 0)
+	var st Step
+	var buf *MemAccess
+	for i := 0; i < 4; i++ {
+		w := i % 2
+		if err := cta.Warps[w].Exec(cta.Env, &st); err != nil {
+			t.Fatal(err)
+		}
+		if buf == nil {
+			buf = &st.Accesses[0]
+		} else if &st.Accesses[0] != buf {
+			t.Fatalf("step %d (warp %d) decoded into a buffer of its own", i, w)
+		}
+		if want := addrs(uint64(w)); len(st.Accesses) != 32 || st.Accesses[31].Addr != want[31] {
+			t.Fatalf("step %d (warp %d): %d accesses, last at %#x", i, w, len(st.Accesses), st.Accesses[len(st.Accesses)-1].Addr)
+		}
+	}
+}
+
+// TestWarpTraceExhaustion replays streams no recorder writes — one with
+// no recorded exit, PCs outside the kernel, an unknown address mode, and
+// address records cut short — and asserts each replay fails with an
+// error instead of panicking or fabricating steps.
 func TestWarpTraceExhaustion(t *testing.T) {
 	k := tripKernel(t)
 	rec, err := NewLaunchRecorder(k, Launch{Grid: 1, Block: 32})
@@ -182,6 +280,42 @@ func TestWarpTraceExhaustion(t *testing.T) {
 	}
 	if err := w.Exec(cta.Env, &got); err == nil {
 		t.Fatal("exhausted replay did not fail")
+	}
+
+	b := NewBuilder()
+	b.MovI(b.I(), 0)
+	b.Exit()
+	two := b.Build("two")
+	// A full header loading at PC 3 of tripKernel with all lanes active,
+	// then its address record.
+	ld := []byte{traceFull | traceNewMask, 3, 0, 0, 0xff, 0xff, 0xff, 0xff}
+	rec2 := func(tail ...byte) []byte { return append(append([]byte(nil), ld...), tail...) }
+	for _, c := range []struct {
+		name string
+		k    *Kernel
+		data []byte
+		want string
+	}{
+		{"full header PC past the end", two, []byte{traceFull, 0xff, 0xff, 0}, "PC 65535 outside"},
+		{"compact advance past the end", two, []byte{0, 0x7f}, "PC 128 outside"},
+		{"unknown address mode", k, rec2(0x7), "unknown address mode 0x7"},
+		{"stride record without its stride", k, rec2(addrStride, 0x02), "exhausted"},
+		{"stride record inside a varint", k, rec2(addrStride, 0x80), "exhausted"},
+		{"half-warp record without its offset", k, rec2(addrHalf, 0x02, 0x08), "exhausted"},
+		{"per-lane record short of its lanes", k, rec2(addrLanes, 0x02, 0x02), "exhausted"},
+		{"address record missing", k, rec2(), "exhausted"},
+		{"stride varint over 64 bits", k, rec2(addrStride, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01), "overflows"},
+		{"per-lane varint over 64 bits", k, rec2(addrLanes, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01), "overflows"},
+	} {
+		lt := &LaunchTrace{Kernel: c.k, Launch: Launch{Grid: 1, Block: 32}, Warps: []WarpTrace{{Data: c.data}}}
+		cta := MakeReplayCTA(lt, 0)
+		var err error
+		for i := 0; i < len(c.data) && err == nil; i++ {
+			err = cta.Warps[0].Exec(cta.Env, &got)
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err %v, want one containing %q", c.name, err, c.want)
+		}
 	}
 }
 

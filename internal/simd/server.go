@@ -209,7 +209,11 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	t0 := time.Now()
-	ps := s.ctx.ProfilesAt(size)
+	ps, err := s.ctx.CPUProfilesAt(size)
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, "profiles", err)
+		return
+	}
 	s.reply(w, &ProfilesResponse{
 		Size: size.String(), ElapsedNS: time.Since(t0).Nanoseconds(), Profiles: ps,
 	})

@@ -129,6 +129,32 @@ func TestCharacterizeRejectsOversizedBody(t *testing.T) {
 	}
 }
 
+// TestProfilesFailureAnswers500 points the context at a size class no
+// workload has, so the CPU-profile pass panics on its first workload.
+// The request must get a 500 with the error and count in
+// simd.errors{endpoint=profiles}, not lose its connection.
+func TestProfilesFailureAnswers500(t *testing.T) {
+	srv, reg := newTestServer(t)
+	srv.ctx.Size = sizes.Class(sizes.NumClasses)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/profiles")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(body.Error, "panicked") {
+		t.Fatalf("status %d, error %q; want 500 with the pass's panic", resp.StatusCode, body.Error)
+	}
+	if got := reg.Counters()[obs.Name("simd.errors", "endpoint", "profiles")]; got != 1 {
+		t.Fatalf("simd.errors{endpoint=profiles} = %d, want 1", got)
+	}
+}
+
 // TestConcurrentRequestsComputeOnce is the service-level singleflight
 // guarantee: N clients racing the same uncached key get identical
 // responses from exactly one simulation (exp.gpu.runs counts executed

@@ -31,7 +31,7 @@ import (
 // of a Stats counter, the warp-trace step encoding — so artifacts written
 // by older code are never decoded by newer code (they become unreachable
 // keys and age out of the LRU).
-const EncodingVersion = 2
+const EncodingVersion = 3
 
 // Key is the content address of one artifact: a SHA-256 over the
 // artifact's canonical identity string (see keyFor).

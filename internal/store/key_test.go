@@ -21,13 +21,13 @@ func TestKeyGolden(t *testing.T) {
 		want string
 	}{
 		{"stats base/test", StatsKey("BFS", sizes.Test, gpusim.Base()),
-			"acd935dc0cdcedadd243c392b120ffc9505b6807e794ab10d2dea38b5d3b947d"},
+			"9a05de935f39422c45acde48ff829aa39562654dde80eedb52a9b2006e7e7905"},
 		{"stats gtx280/medium", StatsKey("SRAD", sizes.Medium, gpusim.GTX280()),
-			"7e1dbd067c9898f0c498eef948b2bfa1cf0e3041917bb51826968f74cddbd099"},
+			"5381ccd7bdbe32d405a186603bef9337832d0e7cfa53c73c0a1b83a40506a37d"},
 		{"trace BFS/test", TraceKey("BFS", sizes.Test),
-			"dbf723a861137a3b46b580ab0c1c63bfd4c8d3fa1362d74cec55fac32b56626f"},
+			"b8eb16c94dc38326d6d886e8b2059e1f5498805d4dfa1eff9f17909e6aae2247"},
 		{"profiles medium", ProfilesKey([]string{"splash2/barnes", "parsec/blackscholes"}, sizes.Medium),
-			"267a4f8208312fe4adeb9a6207552ac5c4acf80a06bceec8db660bb2d249c667"},
+			"702918cb97068cd438700bdf2da2c1d0c5eff0a2c778b5561fe7debda0e1dd62"},
 	}
 	for _, g := range golden {
 		if got := g.key.String(); got != g.want {

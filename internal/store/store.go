@@ -14,7 +14,7 @@ import (
 )
 
 // DefaultCapBytes is the on-disk byte cap when the caller does not set
-// one: the full Rodinia suite's traces run ~160 MB and Stats/profile
+// one: the full Rodinia suite's traces run ~79 MB and Stats/profile
 // blobs are tiny, so 4 GiB comfortably holds several size classes and
 // program variants while bounding a long-lived service's disk use.
 const DefaultCapBytes = 4 << 30
