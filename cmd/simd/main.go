@@ -21,7 +21,7 @@
 //	GET  /healthz
 //	GET  /debug/vars     # live store.{hit,miss,evict,bytes}, simd.*, gpusim.*
 //	GET  /debug/pprof/
-//	GET  /debug/quit     # clean shutdown (flushes the store index)
+//	GET  /debug/quit     # clean shutdown
 //
 // Concurrent requests for the same uncached key share one simulation
 // (the context's singleflight); every request reports latency and

@@ -54,7 +54,7 @@ func (f *Flags) Context(reg *obs.Registry) (*Context, error) {
 	return ctx, nil
 }
 
-// Close flushes and closes the store Context opened, if any.
+// Close closes the store Context opened, if any.
 func (f *Flags) Close() error {
 	if f.st == nil {
 		return nil

@@ -155,7 +155,7 @@ func BenchmarkCoalescer(b *testing.B) {
 	c := newCoalescer(&cfg)
 	accesses := make([]isa.MemAccess, isa.WarpSize)
 	for i := range accesses {
-		accesses[i] = isa.MemAccess{Lane: i, Addr: uint64(i * 16), Size: 4}
+		accesses[i] = isa.MemAccess{Lane: i, Addr: uint64(i * 16)}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

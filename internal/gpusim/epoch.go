@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -52,6 +53,10 @@ import (
 //     the error; the coordinator returns the fault of the globally
 //     earliest (cycle, SM) — the one the sequential loop would have hit
 //     — and discards the rest.
+//   - Panics. A panic in a shard's SM execution, or in the coordinator's
+//     replay, is recovered on its own goroutine. The coordinator stops
+//     the launch at the next barrier, so no worker is left waiting, and
+//     runEpoch returns the first panic, in worker order, as an error.
 //
 // The coordinator's horizon H is the minimum SM clock; events strictly
 // below H are complete (every SM has simulated past them) and replay in
@@ -117,9 +122,10 @@ func (ls *launchState) runEpoch(workers, epoch int) error {
 	var (
 		bar     = newSpinBarrier(workers)
 		wg      sync.WaitGroup
-		stopped bool  // written by the coordinator inside its exclusive window
-		runErr  error // deadlock, as in run()
-		execErr error // undecodable stream or failed producer, as in run()
+		stopped bool                     // written by the coordinator inside its exclusive window
+		runErr  error                    // deadlock, as in run(), or a recovered panic
+		execErr error                    // undecodable stream or failed producer, as in run()
+		panics  = make([]error, workers) // a recovered phase-A panic, per worker
 
 		// The coordinator's clocks. target is written in its exclusive
 		// window and read by workers after the barrier (the barrier's
@@ -150,6 +156,11 @@ func (ls *launchState) runEpoch(workers, epoch int) error {
 	}
 
 	phaseA := func(wid int) {
+		defer func() {
+			if p := recover(); p != nil {
+				panics[wid] = fmt.Errorf("gpusim: epoch worker %d panicked: %v", wid, p)
+			}
+		}()
 		for s := wid; s < nsm; s += workers {
 			ls.advanceEpochSM(eps[s], s, shards[wid], target)
 		}
@@ -171,11 +182,22 @@ func (ls *launchState) runEpoch(workers, epoch int) error {
 		}(w)
 	}
 
-	var sense int32
-	for round := uint64(0); ; round++ {
-		phaseA(0)
-		waitA(0, round, &sense)
-		// Exclusive window: only the coordinator touches launch state here.
+	// coordinate is the coordinator's exclusive window: only it touches
+	// launch state here. It replays the round's events and sets the next
+	// target, and reports whether the launch is over.
+	coordinate := func() (stop bool) {
+		defer func() {
+			if p := recover(); p != nil {
+				runErr = fmt.Errorf("gpusim: epoch replay panicked: %v", p)
+				stop = true
+			}
+		}()
+		for _, err := range panics {
+			if err != nil {
+				runErr = err
+				return true
+			}
+		}
 		horizon := eps[0].now
 		for _, ep := range eps[1:] {
 			if ep.now < horizon {
@@ -188,37 +210,44 @@ func (ls *launchState) runEpoch(workers, epoch int) error {
 			lo.roundHist.Observe(horizon - replayedTo)
 		}
 		replayedTo = horizon
-		switch {
-		case execErr != nil || finished:
-			stopped = true
-		default:
-			if t := horizon + uint64(epoch); t > target {
+		if execErr != nil || finished {
+			return true
+		}
+		if t := horizon + uint64(epoch); t > target {
+			target = t
+		}
+		// A round that replayed nothing with every SM free means the
+		// whole launch is between events: jump the target straight to
+		// the next locally-issuable cycle (the epoch counterpart of the
+		// sequential loop's nextEvent hop), or report deadlock if there
+		// is none.
+		if processed == 0 && epochAllFree(eps) {
+			next := blockedAt
+			for _, ep := range eps {
+				if n := smNextIssue(ep.sm, ep.now); n < next {
+					next = n
+				}
+			}
+			if next == blockedAt {
+				ls.now = horizon
+				runErr = ls.deadlock()
+				return true
+			}
+			if t := next + uint64(epoch); t > target {
+				if lo != nil && next > horizon {
+					lo.skipAhead += next - horizon - 1
+				}
 				target = t
 			}
-			// A round that replayed nothing with every SM free means the
-			// whole launch is between events: jump the target straight to
-			// the next locally-issuable cycle (the epoch counterpart of
-			// the sequential loop's nextEvent hop), or report deadlock if
-			// there is none.
-			if processed == 0 && epochAllFree(eps) {
-				next := blockedAt
-				for _, ep := range eps {
-					if n := smNextIssue(ep.sm, ep.now); n < next {
-						next = n
-					}
-				}
-				if next == blockedAt {
-					ls.now = horizon
-					runErr = ls.deadlock()
-					stopped = true
-				} else if t := next + uint64(epoch); t > target {
-					if lo != nil && next > horizon {
-						lo.skipAhead += next - horizon - 1
-					}
-					target = t
-				}
-			}
 		}
+		return false
+	}
+
+	var sense int32
+	for round := uint64(0); ; round++ {
+		phaseA(0)
+		waitA(0, round, &sense)
+		stopped = coordinate()
 		bar.wait(&sense)
 		if stopped {
 			break

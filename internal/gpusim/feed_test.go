@@ -99,6 +99,47 @@ func TestProducerPanicBecomesError(t *testing.T) {
 	}
 }
 
+// panicScheduler issues as looseRoundRobin does, except that it panics
+// when asked to pick on one chosen SM.
+type panicScheduler struct{ on *smCaches }
+
+func (p panicScheduler) pick(sm *smRT, now uint64) *warpRT {
+	if sm.caches == p.on {
+		panic("scheduler fault on the chosen SM")
+	}
+	return looseRoundRobin{}.pick(sm, now)
+}
+
+// TestEpochPanicBecomesError panics in the epoch engine's SM execution,
+// on SM 0, which the coordinator's goroutine runs, and on SM 1, which the
+// worker runs under two shard workers. Launch and Replay must return the
+// panic as an error and leave no worker or producer behind.
+func TestEpochPanicBecomesError(t *testing.T) {
+	const n = 4096
+	rt := captureVecAdd(t, Base(), n)
+	runs := map[string]func(*GPU) error{
+		"launch": func(g *GPU) error {
+			mem, _ := setupVecAdd(n)
+			return g.Launch(vecAddKernel(), isa.Launch{Grid: n / 256, Block: 256}, mem)
+		},
+		"replay": func(g *GPU) error { return g.Replay(rt) },
+	}
+	for name, run := range runs {
+		for sm := 0; sm < 2; sm++ {
+			base := runtime.NumGoroutine()
+			g, err := New(engineConfig(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.sched = panicScheduler{on: g.sms[sm]}
+			if err := run(g); err == nil || !strings.Contains(err.Error(), "panicked: scheduler fault") {
+				t.Fatalf("%s, panic on SM %d: got %v, want the scheduler's panic", name, sm, err)
+			}
+			waitGoroutines(t, base)
+		}
+	}
+}
+
 // TestReplayTruncatedStream replays a trace whose last warp stream lost
 // its final byte, as a torn write to disk would leave it. Replay must
 // return the decode error on both engines.

@@ -91,7 +91,7 @@ type gpuCounters struct {
 
 	barrierWaitNs, barrierCrossings *obs.Counter
 
-	epochRounds, epochParks, epochHolds *obs.Counter
+	epochParks, epochHolds *obs.Counter
 
 	waitHist  *obs.Histogram
 	roundHist *obs.Histogram
@@ -110,7 +110,6 @@ func newGPUCounters(r *obs.Registry, numSMs int) *gpuCounters {
 		dramAccesses:     r.Counter("gpusim.dram.accesses"),
 		barrierWaitNs:    r.Counter("gpusim.barrier.wait_ns"),
 		barrierCrossings: r.Counter("gpusim.barrier.crossings"),
-		epochRounds:      r.Counter("gpusim.epoch.rounds"),
 		epochParks:       r.Counter("gpusim.epoch.parked_loads"),
 		epochHolds:       r.Counter("gpusim.epoch.retire_holds"),
 		waitHist:         r.Histogram("gpusim.barrier.wait_sample_ns"),
@@ -133,9 +132,9 @@ func newGPUCounters(r *obs.Registry, numSMs int) *gpuCounters {
 // gpusim.cycles for every SM), stall cycles by reason under
 // gpusim.stall.*, elided clock jumps, DRAM channel backlog, sampled
 // per-worker shard-barrier wait (gpusim.barrier.wait_ns summed, raw
-// samples in the gpusim.barrier.wait_sample_ns histogram) and barrier
-// crossings, and the epoch engine's rounds (equal to the crossings),
-// parked loads, retire holds and per-round clock advance
+// samples in the gpusim.barrier.wait_sample_ns histogram), barrier
+// crossings (gpusim.barrier.crossings, one per epoch round), and the
+// epoch engine's parked loads, retire holds and per-round clock advance
 // (gpusim.epoch.*).
 func (g *GPU) SetObs(r *obs.Registry) {
 	if r == nil {
@@ -175,7 +174,6 @@ func (c *gpuCounters) flushObs(lo *launchObs, launchCycles uint64) {
 	}
 	c.barrierWaitNs.Add(wait)
 	c.barrierCrossings.Add(lo.barrierCrossings)
-	c.epochRounds.Add(lo.barrierCrossings)
 	c.epochParks.Add(parks)
 	c.epochHolds.Add(holds)
 }

@@ -1,19 +1,18 @@
 package isa
 
 // dinstr is the dense pre-decoded form of an Instr: operand indices
-// narrowed, the memory access width and store-ness resolved, and every
+// narrowed, the memory access width resolved, and every
 // field the interpreter reads laid out flat so Warp.Exec never
 // re-inspects the architectural Instr per thread per cycle. One dinstr
 // corresponds 1:1 to the Instr at the same PC.
 type dinstr struct {
-	op      Op
-	useImm  bool
-	neg     bool
-	isStore bool // OpSt/OpStF/OpAtom: the access writes memory
-	space   Space
-	mtype   MemType
-	cmp     CmpOp
-	sp      Special
+	op     Op
+	useImm bool
+	neg    bool
+	space  Space
+	mtype  MemType
+	cmp    CmpOp
+	sp     Special
 
 	size                  int32 // memory access width in bytes
 	dst, src1, src2, src3 int32
@@ -34,24 +33,23 @@ func (k *Kernel) program() []dinstr {
 		for i := range k.Instrs {
 			ins := &k.Instrs[i]
 			prog[i] = dinstr{
-				op:      ins.Op,
-				useImm:  ins.UseImm,
-				neg:     ins.Neg,
-				isStore: ins.Op == OpSt || ins.Op == OpStF || ins.Op == OpAtom,
-				space:   ins.Space,
-				mtype:   ins.MType,
-				cmp:     ins.Cmp,
-				sp:      ins.Sp,
-				size:    int32(ins.MType.Size()),
-				dst:     int32(ins.Dst),
-				src1:    int32(ins.Src1),
-				src2:    int32(ins.Src2),
-				src3:    int32(ins.Src3),
-				pred:    int32(ins.Pred),
-				target:  int32(ins.Target),
-				recon:   int32(ins.Recon),
-				imm:     ins.Imm,
-				fimm:    ins.FImm,
+				op:     ins.Op,
+				useImm: ins.UseImm,
+				neg:    ins.Neg,
+				space:  ins.Space,
+				mtype:  ins.MType,
+				cmp:    ins.Cmp,
+				sp:     ins.Sp,
+				size:   int32(ins.MType.Size()),
+				dst:    int32(ins.Dst),
+				src1:   int32(ins.Src1),
+				src2:   int32(ins.Src2),
+				src3:   int32(ins.Src3),
+				pred:   int32(ins.Pred),
+				target: int32(ins.Target),
+				recon:  int32(ins.Recon),
+				imm:    ins.Imm,
+				fimm:   ins.FImm,
 			}
 		}
 		k.prog = prog

@@ -22,11 +22,10 @@ type Env struct {
 }
 
 // MemAccess describes one lane's memory access within a warp instruction.
+// The access's width and direction are the instruction's (Step.Instr).
 type MemAccess struct {
-	Lane  int
-	Addr  uint64
-	Size  int
-	Store bool
+	Lane int
+	Addr uint64
 }
 
 // Step reports what a warp did for one executed instruction. The timing
@@ -272,7 +271,7 @@ func (w *Warp) execMem(env *Env, d *dinstr, mask uint32, pc int) error {
 			default:
 				dd[lane] = int64(binary.LittleEndian.Uint64(arena[addr:]))
 			}
-			w.accessBuf = append(w.accessBuf, MemAccess{Lane: lane, Addr: addr, Size: size})
+			w.accessBuf = append(w.accessBuf, MemAccess{Lane: lane, Addr: addr})
 		}
 
 	case OpLdF:
@@ -300,7 +299,7 @@ func (w *Warp) execMem(env *Env, d *dinstr, mask uint32, pc int) error {
 			} else {
 				dd[lane] = math.Float64frombits(raw)
 			}
-			w.accessBuf = append(w.accessBuf, MemAccess{Lane: lane, Addr: addr, Size: size})
+			w.accessBuf = append(w.accessBuf, MemAccess{Lane: lane, Addr: addr})
 		}
 
 	case OpSt:
@@ -322,7 +321,7 @@ func (w *Warp) execMem(env *Env, d *dinstr, mask uint32, pc int) error {
 			default:
 				binary.LittleEndian.PutUint64(arena[addr:], uint64(vv[lane]))
 			}
-			w.accessBuf = append(w.accessBuf, MemAccess{Lane: lane, Addr: addr, Size: size, Store: true})
+			w.accessBuf = append(w.accessBuf, MemAccess{Lane: lane, Addr: addr})
 		}
 
 	case OpStF:
@@ -350,7 +349,7 @@ func (w *Warp) execMem(env *Env, d *dinstr, mask uint32, pc int) error {
 			default:
 				binary.LittleEndian.PutUint64(arena[addr:], raw)
 			}
-			w.accessBuf = append(w.accessBuf, MemAccess{Lane: lane, Addr: addr, Size: size, Store: true})
+			w.accessBuf = append(w.accessBuf, MemAccess{Lane: lane, Addr: addr})
 		}
 
 	case OpAtom:
@@ -370,7 +369,7 @@ func (w *Warp) execMem(env *Env, d *dinstr, mask uint32, pc int) error {
 				return w.memFault(d, pc, lane, err)
 			}
 			dd[lane] = old
-			w.accessBuf = append(w.accessBuf, MemAccess{Lane: lane, Addr: addr, Size: size, Store: true})
+			w.accessBuf = append(w.accessBuf, MemAccess{Lane: lane, Addr: addr})
 		}
 	}
 	return nil

@@ -588,9 +588,12 @@ func TestWarpStepReporting(t *testing.T) {
 	if len(storeStep.Accesses) != 8 {
 		t.Fatalf("store accesses = %d, want 8", len(storeStep.Accesses))
 	}
-	for _, a := range storeStep.Accesses {
-		if !a.Store || a.Size != 4 {
-			t.Fatalf("bad access %+v", a)
+	if size := storeStep.Instr.MType.Size(); size != 4 {
+		t.Fatalf("store width = %d bytes, want 4", size)
+	}
+	for i, a := range storeStep.Accesses {
+		if a.Lane != i || a.Addr != out+uint64(4*i) {
+			t.Fatalf("access %d = %+v, want lane %d at %#x", i, a, i, out+uint64(4*i))
 		}
 	}
 }

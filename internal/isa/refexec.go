@@ -186,12 +186,7 @@ func (w *RefWarp) Exec(env *Env, st *Step) error {
 				return fmt.Errorf("kernel %s pc=%d (%v %v): cta=%d tid=%d: %w",
 					w.Kernel.Name, pc, ins.Op, ins.Space, t.Cta, t.Tid, err)
 			}
-			w.accessBuf = append(w.accessBuf, MemAccess{
-				Lane:  lane,
-				Addr:  addr,
-				Size:  ins.MType.Size(),
-				Store: ins.Op == OpSt || ins.Op == OpStF || ins.Op == OpAtom,
-			})
+			w.accessBuf = append(w.accessBuf, MemAccess{Lane: lane, Addr: addr})
 		}
 		st.Accesses = w.accessBuf
 		e.pc = pc + 1

@@ -424,7 +424,7 @@ func (w *ReplayWarp) Exec(env *Env, st *Step) error {
 			buf = make([]MemAccess, WarpSize)
 		}
 		var err error
-		if st.Accesses, p, err = w.decodeAddrs(d, p, mask, in, buf[:st.ActiveCount]); err != nil {
+		if st.Accesses, p, err = w.decodeAddrs(d, p, mask, buf[:st.ActiveCount]); err != nil {
 			return err
 		}
 	}
@@ -442,12 +442,10 @@ func (w *ReplayWarp) Exec(env *Env, st *Step) error {
 
 // decodeAddrs decodes the address record at d[p:] into buf, one access
 // per set bit of mask, and returns buf and the position after the record.
-func (w *ReplayWarp) decodeAddrs(d []byte, p int, mask uint32, in *Instr, buf []MemAccess) ([]MemAccess, int, error) {
+func (w *ReplayWarp) decodeAddrs(d []byte, p int, mask uint32, buf []MemAccess) ([]MemAccess, int, error) {
 	if p >= len(d) {
 		return nil, p, w.exhausted()
 	}
-	size := in.MType.Size()
-	store := in.Op == OpSt || in.Op == OpStF || in.Op == OpAtom
 	mode := d[p]
 	p++
 	switch mode {
@@ -467,7 +465,7 @@ func (w *ReplayWarp) decodeAddrs(d []byte, p int, mask uint32, in *Instr, buf []
 		if mode == addrStride {
 			off = stride << 4
 		}
-		expandStrided(buf, mask, base, stride, off, size, store)
+		expandStrided(buf, mask, base, stride, off)
 		w.prevAddr = base
 		return buf, p, nil
 	case addrLanes:
@@ -499,7 +497,7 @@ func (w *ReplayWarp) decodeAddrs(d []byte, p int, mask uint32, in *Instr, buf []
 				}
 			}
 			prev += unzigzag(u)
-			buf[i] = MemAccess{Lane: bits.TrailingZeros32(m), Addr: prev, Size: size, Store: store}
+			buf[i] = MemAccess{Lane: bits.TrailingZeros32(m), Addr: prev}
 			i++
 		}
 		w.prevAddr = prev
@@ -511,12 +509,12 @@ func (w *ReplayWarp) decodeAddrs(d []byte, p int, mask uint32, in *Instr, buf []
 // expandStrided fills buf with the accesses of mask's lanes under a
 // strided record. A full warp, by far the common mask, walks each
 // half-warp by adding the stride.
-func expandStrided(buf []MemAccess, mask uint32, base, stride, off uint64, size int, store bool) {
+func expandStrided(buf []MemAccess, mask uint32, base, stride, off uint64) {
 	if mask == 1<<WarpSize-1 {
 		buf = buf[:WarpSize]
 		for h, a := range [2]uint64{base, base + off} {
 			for lane := h * 16; lane < h*16+16; lane++ {
-				buf[lane] = MemAccess{Lane: lane, Addr: a, Size: size, Store: store}
+				buf[lane] = MemAccess{Lane: lane, Addr: a}
 				a += stride
 			}
 		}
@@ -525,7 +523,7 @@ func expandStrided(buf []MemAccess, mask uint32, base, stride, off uint64, size 
 	i := 0
 	for m := mask; m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros32(m)
-		buf[i] = MemAccess{Lane: lane, Addr: stridedAddr(base, stride, off, lane), Size: size, Store: store}
+		buf[i] = MemAccess{Lane: lane, Addr: stridedAddr(base, stride, off, lane)}
 		i++
 	}
 }

@@ -38,16 +38,9 @@ func maskStep(k *Kernel, pc int, mask uint32, addrs []uint64) Step {
 		ActiveCount: bits.OnesCount32(mask),
 	}
 	if len(addrs) > 0 {
-		in := &k.Instrs[pc]
-		store := in.Op == OpSt || in.Op == OpStF || in.Op == OpAtom
 		i := 0
 		for m := mask; m != 0; m &= m - 1 {
-			st.Accesses = append(st.Accesses, MemAccess{
-				Lane:  bits.TrailingZeros32(m),
-				Addr:  addrs[i],
-				Size:  in.MType.Size(),
-				Store: store,
-			})
+			st.Accesses = append(st.Accesses, MemAccess{Lane: bits.TrailingZeros32(m), Addr: addrs[i]})
 			i++
 		}
 	}

@@ -10,6 +10,17 @@ import (
 	"net/http/pprof"
 	"sync"
 	"sync/atomic"
+	"time"
+)
+
+// The debug/API listener's timeouts. A client has debugHeaderTimeout to
+// send a request's headers and may hold an idle keep-alive connection for
+// debugIdleTimeout, so a connection that never finishes a request cannot
+// hold a goroutine for good. There is no write timeout: a compute request
+// or a /debug/pprof/profile capture can legitimately run long.
+const (
+	debugHeaderTimeout = 5 * time.Second
+	debugIdleTimeout   = 2 * time.Minute
 )
 
 // debugRegistry is the registry the process-wide expvar "obs" variable
@@ -64,7 +75,8 @@ func ServeDebugMux(addr string, r *Registry, mux *http.ServeMux) (*DebugServer, 
 		fmt.Fprintln(w, "quitting")
 		s.once.Do(func() { close(s.quit) })
 	})
-	go http.Serve(ln, mux) //nolint:errcheck // dies with the process
+	hs := &http.Server{Handler: mux, ReadHeaderTimeout: debugHeaderTimeout, IdleTimeout: debugIdleTimeout}
+	go hs.Serve(ln) //nolint:errcheck // returns once Close closes the listener
 	return s, nil
 }
 
@@ -74,7 +86,8 @@ func (s *DebugServer) Addr() string { return s.ln.Addr().String() }
 // Quit is closed when a client requests /debug/quit.
 func (s *DebugServer) Quit() <-chan struct{} { return s.quit }
 
-// Close stops the listener; it is a no-op on a nil server.
+// Close stops the listener, leaving requests in flight to finish; it is a
+// no-op on a nil server.
 func (s *DebugServer) Close() error {
 	if s == nil {
 		return nil

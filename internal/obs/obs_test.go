@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"reflect"
 	"runtime"
@@ -215,6 +216,33 @@ func TestServeDebug(t *testing.T) {
 	case <-srv.Quit():
 	case <-time.After(5 * time.Second):
 		t.Fatal("Quit channel not closed after /debug/quit")
+	}
+}
+
+// TestServeDebugDropsStalledHeaders opens a raw connection that sends
+// half a request line and then nothing: the server must hang up within
+// its header timeout instead of holding the connection for good.
+func TestServeDebugDropsStalledHeaders(t *testing.T) {
+	srv, err := ServeDebug("127.0.0.1:0", New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /debug/va")); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(debugHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	reply, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("stalled request: %v after %v, reply %q; want the server to hang up", err, time.Since(t0), reply)
 	}
 }
 

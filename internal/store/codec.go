@@ -32,11 +32,28 @@ func EncodeStats(st *gpusim.Stats) ([]byte, error) { return gobEncode(st) }
 
 // DecodeStats is the inverse of EncodeStats.
 func DecodeStats(blob []byte) (*gpusim.Stats, error) {
+	// gob makes a map it decodes into at the size the stream claims, so a
+	// blob of a few bytes could claim billions of per-kernel entries. A
+	// first pass into statsShape, whose map already exists and whose
+	// entries skip their own maps, reads every entry a map claims before
+	// anything is sized by the claim, and fails on a blob that ends first.
+	shape := statsShape{PerKernel: make(map[string]*struct{ Config string })}
+	if err := gobDecode(blob, &shape); err != nil {
+		return nil, err
+	}
 	st := new(gpusim.Stats)
 	if err := gobDecode(blob, st); err != nil {
 		return nil, err
 	}
 	return st, nil
+}
+
+// statsShape is the part of an encoded Stats that gob sizes from the
+// stream: its per-kernel map (see DecodeStats). An entry keeps Config
+// only because gob rejects a struct with no field in common with the
+// stream's.
+type statsShape struct {
+	PerKernel map[string]*struct{ Config string }
 }
 
 // EncodeProfiles serializes one CPU-profile sweep (order is meaningful

@@ -1,7 +1,11 @@
 package store
 
 import (
+	"bytes"
+	"encoding/gob"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -10,7 +14,7 @@ import (
 	"repro/internal/sizes"
 )
 
-func bench(t *testing.T, abbrev string) *kernels.Benchmark {
+func bench(t testing.TB, abbrev string) *kernels.Benchmark {
 	t.Helper()
 	b, ok := kernels.ByAbbrev(abbrev)
 	if !ok {
@@ -48,6 +52,43 @@ func TestStatsCodecRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, st) {
 		t.Fatalf("stats round trip diverged:\n got %+v\nwant %+v", got, st)
+	}
+}
+
+// TestDecodeStatsRejectsInflatedMapCount decodes a Stats blob whose
+// per-kernel map claims 4 Mi entries but holds one. DecodeStats must
+// return an error without allocating for the claim.
+func TestDecodeStatsRejectsInflatedMapCount(t *testing.T) {
+	st := &gpusim.Stats{PerKernel: map[string]*gpusim.Stats{"kernelZ": {}}}
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode(st); err != nil {
+		t.Fatal(err)
+	}
+	full := bytes.Clone(buf.Bytes())
+	buf.Reset()
+	if err := enc.Encode(st); err != nil { // the value message alone
+		t.Fatal(err)
+	}
+	value := buf.Bytes()
+	entry := bytes.Index(value, []byte("\x01\x07kernelZ")) // count 1, then the key
+	if entry < 0 || value[0] >= 0x80-4 {
+		t.Fatalf("unexpected encoding of the value message: % x", value)
+	}
+	blob := slices.Concat(full[:len(full)-len(value)],
+		[]byte{value[0] + 4}, value[1:entry],
+		[]byte{0xfc, 0x00, 0x40, 0x00, 0x00}, // count 1<<22: a 4-byte big-endian uint
+		value[entry+1:])
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeStats(blob)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("DecodeStats accepted a map that claims more entries than the blob holds")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("DecodeStats allocated %d bytes for a %d-byte blob", n, len(blob))
 	}
 }
 

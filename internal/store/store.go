@@ -1,14 +1,15 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -29,10 +30,6 @@ const (
 	blobHdrLen  = 4 + 4 + sha256.Size + 8
 )
 
-// indexFile persists the LRU index: per-entry byte size and recency, so
-// a reopened store evicts in the same order it would have in-process.
-const indexFile = "index.json"
-
 // Counters is a point-in-time snapshot of the store's decision counters,
 // mirroring the store.* instruments for callers without a registry.
 type Counters struct {
@@ -49,6 +46,15 @@ type Counters struct {
 // LRU. It is safe for concurrent use within a process; across processes,
 // atomic renames keep readers consistent (a concurrent writer can at
 // worst waste a recompute, never serve a torn blob).
+//
+// The objects directory is the whole on-disk state: one file per blob,
+// named by its key in hex, whose size is the entry's size and whose
+// modification time is its recency. Put and Get stamp the blob's mtime
+// explicitly, with a wall-clock time strictly later than every stamp the
+// store has set or seen, and eviction removes the entry with the oldest
+// stamp, the key's name breaking ties. So a reopened store evicts in the
+// order the running one would have, to the file system's timestamp
+// resolution.
 type Store struct {
 	dir      string
 	capBytes int64
@@ -56,7 +62,7 @@ type Store struct {
 	mu      sync.Mutex
 	entries map[Key]*entry
 	bytes   int64
-	clock   uint64
+	stamp   int64 // the latest recency stamp set or seen, in Unix ns
 
 	hit, miss, put, evict    *obs.Counter
 	corrupt, uncacheable     *obs.Counter
@@ -66,28 +72,17 @@ type Store struct {
 
 type entry struct {
 	bytes   int64
-	lastUse uint64
-}
-
-// indexRecord is one persisted index entry.
-type indexRecord struct {
-	Key     string `json:"key"`
-	Bytes   int64  `json:"bytes"`
-	LastUse uint64 `json:"last_use"`
-}
-
-type indexDoc struct {
-	Version int           `json:"version"`
-	Entries []indexRecord `json:"entries"`
+	lastUse int64 // the blob's mtime in Unix ns
 }
 
 // Open opens (creating if needed) the store rooted at dir. capBytes ≤ 0
 // selects DefaultCapBytes. The registry receives the store.{hit, miss,
 // put, evict, corrupt, uncacheable} counters and the store.{bytes,
-// entries} gauges (nil is the free no-op). Open reconciles the index
-// with the blobs actually on disk: indexed blobs that vanished are
-// dropped, unindexed blobs (a crash between rename and index write) are
-// adopted, and the cap is enforced immediately.
+// entries} gauges (nil is the free no-op). Open lists the objects
+// directory, takes every hex-named file as a blob with its size and
+// mtime, and enforces the cap immediately, evicting the oldest first.
+// Anything else in dir, such as an index.json an older release wrote,
+// is ignored.
 func Open(dir string, capBytes int64, r *obs.Registry) (*Store, error) {
 	if capBytes <= 0 {
 		capBytes = DefaultCapBytes
@@ -108,7 +103,7 @@ func Open(dir string, capBytes int64, r *obs.Registry) (*Store, error) {
 		bytesGauge:   r.Gauge("store.bytes"),
 		entriesGauge: r.Gauge("store.entries"),
 	}
-	if err := s.loadIndex(); err != nil {
+	if err := s.load(); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
@@ -121,20 +116,8 @@ func Open(dir string, capBytes int64, r *obs.Registry) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// loadIndex rebuilds the in-memory index from index.json and the objects
-// directory. Any malformed index is discarded wholesale — the blobs
-// themselves are self-describing, so the worst case is losing recency
-// order, not data.
-func (s *Store) loadIndex() error {
-	byName := make(map[string]indexRecord)
-	if data, err := os.ReadFile(filepath.Join(s.dir, indexFile)); err == nil {
-		var doc indexDoc
-		if json.Unmarshal(data, &doc) == nil && doc.Version == 1 {
-			for _, rec := range doc.Entries {
-				byName[rec.Key] = rec
-			}
-		}
-	}
+// load seeds the LRU from the objects directory.
+func (s *Store) load() error {
 	names, err := os.ReadDir(filepath.Join(s.dir, "objects"))
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -151,13 +134,8 @@ func (s *Store) loadIndex() error {
 		if err != nil {
 			continue
 		}
-		e := &entry{bytes: info.Size()}
-		if rec, ok := byName[de.Name()]; ok {
-			e.lastUse = rec.LastUse
-			if e.lastUse > s.clock {
-				s.clock = e.lastUse
-			}
-		}
+		e := &entry{bytes: info.Size(), lastUse: info.ModTime().UnixNano()}
+		s.stamp = max(s.stamp, e.lastUse)
 		s.entries[k] = e
 		s.bytes += e.bytes
 	}
@@ -186,8 +164,7 @@ func (s *Store) Get(k Key) ([]byte, bool) {
 	s.mu.Lock()
 	e, ok := s.entries[k]
 	if ok {
-		s.clock++
-		e.lastUse = s.clock
+		s.touchLocked(k, e)
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -223,19 +200,31 @@ func (s *Store) Put(k Key, payload []byte) error {
 		return fmt.Errorf("store: put %s: %w", k, err)
 	}
 	s.mu.Lock()
-	s.clock++
 	if old, ok := s.entries[k]; ok {
 		s.bytes -= old.bytes
 	}
-	s.entries[k] = &entry{bytes: blobLen, lastUse: s.clock}
+	e := &entry{bytes: blobLen}
+	s.touchLocked(k, e)
+	s.entries[k] = e
 	s.bytes += blobLen
 	s.counters.Puts++
 	s.evictOverLocked()
 	s.publishLocked()
-	err := s.writeIndexLocked()
 	s.mu.Unlock()
 	s.put.Inc()
-	return err
+	return nil
+}
+
+// touchLocked makes e the most recently used entry, in memory and in its
+// blob's mtime. The stamp is not fsynced: a crash can cost recency, never
+// a blob. Caller holds s.mu, so stamps follow the order of use.
+func (s *Store) touchLocked(k Key, e *entry) {
+	s.stamp = max(s.stamp+1, time.Now().UnixNano())
+	e.lastUse = s.stamp
+	t := time.Unix(0, s.stamp)
+	// A failed stamp (the blob vanished behind the store's back) leaves
+	// only the reopened order stale; Get finds the loss itself.
+	_ = os.Chtimes(s.objectPath(k), t, t)
 }
 
 // Discard removes the blob under key, if present. Used internally for
@@ -247,19 +236,19 @@ func (s *Store) Discard(k Key) {
 		delete(s.entries, k)
 	}
 	s.publishLocked()
-	s.writeIndexLocked() //nolint:errcheck // best effort; Close flushes again
 	s.mu.Unlock()
-	os.Remove(s.objectPath(k)) //nolint:errcheck // already unindexed
+	os.Remove(s.objectPath(k)) //nolint:errcheck // already forgotten
 }
 
-// evictOverLocked removes least-recently-used entries until the cap
-// holds. Caller holds s.mu.
+// evictOverLocked removes least-recently-used entries, the smaller key
+// first among equal stamps, until the cap holds. Caller holds s.mu.
 func (s *Store) evictOverLocked() {
 	for s.bytes > s.capBytes && len(s.entries) > 0 {
 		var victim Key
 		var ve *entry
 		for k, e := range s.entries {
-			if ve == nil || e.lastUse < ve.lastUse {
+			if ve == nil || e.lastUse < ve.lastUse ||
+				e.lastUse == ve.lastUse && bytes.Compare(k[:], victim[:]) < 0 {
 				victim, ve = k, e
 			}
 		}
@@ -306,25 +295,10 @@ func (s *Store) Len() int {
 	return len(s.entries)
 }
 
-// Close flushes the LRU index. The store must not be used afterwards.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.writeIndexLocked()
-}
-
-// writeIndexLocked persists the index atomically. Caller holds s.mu.
-func (s *Store) writeIndexLocked() error {
-	doc := indexDoc{Version: 1, Entries: make([]indexRecord, 0, len(s.entries))}
-	for k, e := range s.entries {
-		doc.Entries = append(doc.Entries, indexRecord{Key: k.String(), Bytes: e.bytes, LastUse: e.lastUse})
-	}
-	data, err := json.Marshal(&doc)
-	if err != nil {
-		return fmt.Errorf("store: index: %w", err)
-	}
-	return renameInto(filepath.Join(s.dir, indexFile), data)
-}
+// Close ends the caller's use of the store and always returns nil: every
+// Put has published its blob, and its recency stamp, before returning, so
+// there is nothing left to flush. The store must not be used afterwards.
+func (s *Store) Close() error { return nil }
 
 // readBlob reads and validates one framed blob.
 func readBlob(path string) ([]byte, error) {
@@ -351,7 +325,8 @@ func readBlob(path string) ([]byte, error) {
 	return payload, nil
 }
 
-// writeBlobAtomic frames and writes a payload via temp-file + rename.
+// writeBlobAtomic frames a payload and publishes it at path: written to a
+// unique temp file in path's directory, synced, then renamed over path.
 func writeBlobAtomic(path string, payload []byte) error {
 	buf := make([]byte, blobHdrLen, blobHdrLen+len(payload))
 	copy(buf, blobMagic)
@@ -360,29 +335,21 @@ func writeBlobAtomic(path string, payload []byte) error {
 	copy(buf[8:], sum[:])
 	binary.LittleEndian.PutUint64(buf[8+sha256.Size:], uint64(len(payload)))
 	buf = append(buf, payload...)
-	return renameInto(path, buf)
-}
-
-// renameInto writes data to a unique temp file in path's directory,
-// syncs it, and renames it over path — the classic atomic publish.
-func renameInto(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".tmp-*")
+	f, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
 	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err == nil {
+	if _, err = f.Write(buf); err == nil {
 		err = f.Sync()
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil {
-			return os.Rename(tmp, path)
-		}
-	} else {
-		f.Close() //nolint:errcheck // write already failed
 	}
-	os.Remove(tmp) //nolint:errcheck // best effort
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name()) //nolint:errcheck // best effort
+	}
 	return err
 }

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -227,22 +230,29 @@ func TestStoreReopenServesAndKeepsRecency(t *testing.T) {
 	}
 }
 
+// TestStoreOpenAdoptsUnindexedBlobs opens a store directory as an older
+// release left it: an index.json beside objects/ that lists a blob that
+// has since vanished and misses one that exists. The index is ignored:
+// every blob on disk is adopted and served, and the file stays as it was.
 func TestStoreOpenAdoptsUnindexedBlobs(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := testKey("orphan")
-	want := payload("orphan", 200)
-	if err := s.Put(k, want); err != nil {
-		t.Fatal(err)
+	listed, unlisted, vanished := testKey("listed"), testKey("unlisted"), testKey("vanished")
+	for _, k := range []Key{listed, unlisted} {
+		if err := s.Put(k, payload(k.String(), 200)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash between blob rename and index write.
-	if err := os.Remove(filepath.Join(dir, indexFile)); err != nil {
+	index := fmt.Sprintf(`{"version":1,"entries":[{"key":%q,"bytes":%d,"last_use":2},{"key":%q,"bytes":%d,"last_use":1}]}`,
+		listed, blobHdrLen+200, vanished, blobHdrLen+200)
+	indexPath := filepath.Join(dir, "index.json")
+	if err := os.WriteFile(indexPath, []byte(index), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -251,9 +261,143 @@ func TestStoreOpenAdoptsUnindexedBlobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	got, ok := s2.Get(k)
-	if !ok || !bytes.Equal(got, want) {
-		t.Fatal("unindexed blob not adopted on reopen")
+	if s2.Len() != 2 || s2.Bytes() != 2*(blobHdrLen+200) {
+		t.Fatalf("reopened store holds %d blobs / %d bytes, want the 2 on disk", s2.Len(), s2.Bytes())
+	}
+	for _, k := range []Key{listed, unlisted} {
+		if got, ok := s2.Get(k); !ok || !bytes.Equal(got, payload(k.String(), 200)) {
+			t.Fatalf("blob %s not served after reopen", k)
+		}
+	}
+	if _, ok := s2.Get(vanished); ok {
+		t.Fatal("a blob only the leftover index names was served")
+	}
+	if got, err := os.ReadFile(indexPath); err != nil || string(got) != index {
+		t.Fatalf("leftover index.json changed: %q, %v", got, err)
+	}
+}
+
+// TestStoreWritesOnlyObjects pins the store's on-disk state: a Put
+// publishes exactly one file, its blob under objects/, and nothing else
+// is written after Put, Get, Discard and Close.
+func TestStoreWritesOnlyObjects(t *testing.T) {
+	dir := t.TempDir()
+	files := func() []string {
+		var out []string
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				rel, _ := filepath.Rel(dir, path)
+				out = append(out, rel)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	s, err := Open(dir, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := testKey("only")
+	if err := s.Put(k, payload("only", 100)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := files(), []string{filepath.Join("objects", k.String())}; !slices.Equal(got, want) {
+		t.Fatalf("after Put the store holds %q, want %q", got, want)
+	}
+	if _, ok := s.Get(k); !ok {
+		t.Fatal("blob missed")
+	}
+	s.Discard(k)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := files(); len(got) != 0 {
+		t.Fatalf("after Get, Discard and Close the store holds %q, want nothing", got)
+	}
+}
+
+// TestStoreReopenEvictsInProcessOrder puts blobs back to back, closer
+// together than the kernel's own write times tell apart, then gets every
+// odd one, the last put first. A reopened store under a cap that keeps
+// two thirds of them, so the cut falls among blobs only Put has stamped,
+// must keep exactly the ones the running store would have.
+func TestStoreReopenEvictsInProcessOrder(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, keep = 60, 40
+	keys := make([]Key, n)
+	for i := range keys {
+		keys[i] = testKey(fmt.Sprintf("blob-%d", i))
+		if err := s.Put(keys[i], payload(keys[i].String(), 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var order []Key // least recently used first
+	for i := 0; i < n; i += 2 {
+		order = append(order, keys[i])
+	}
+	for i := n - 1; i > 0; i -= 2 {
+		if _, ok := s.Get(keys[i]); !ok {
+			t.Fatalf("blob %d missed", i)
+		}
+		order = append(order, keys[i])
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir, keep*int64(blobHdrLen+100), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if s2.Len() != keep {
+		t.Fatalf("reopened store kept %d blobs, want %d", s2.Len(), keep)
+	}
+	for i, k := range order[n-keep:] {
+		if _, ok := s2.Get(k); !ok {
+			t.Fatalf("blob %d of the %d most recently used was evicted", i, keep)
+		}
+	}
+}
+
+// TestStoreOpenBreaksMtimeTiesByName gives two blobs the same mtime: a
+// reopened store that must evict one evicts the smaller name.
+func TestStoreOpenBreaksMtimeTiesByName(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := testKey("a"), testKey("b")
+	if a.String() > b.String() {
+		a, b = b, a
+	}
+	same := time.Unix(1700000000, 0)
+	for _, k := range []Key{b, a} {
+		if err := s.Put(k, payload(k.String(), 100)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(s.objectPath(k), same, same); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2, err := Open(dir, int64(blobHdrLen+100), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if _, ok := s2.Get(a); ok {
+		t.Fatal("the smaller name survived a tie")
+	}
+	if _, ok := s2.Get(b); !ok {
+		t.Fatal("the larger name was evicted on a tie")
 	}
 }
 
