@@ -148,20 +148,38 @@ func BenchmarkWarpExec(b *testing.B) {
 	b.ReportMetric(float64(instrs)/float64(b.N), "warp-instrs/op")
 }
 
-// BenchmarkCoalescer times the per-warp coalescing hardware model on a
-// strided 32-lane access pattern that folds into 8 distinct lines.
+// BenchmarkCoalescer times the per-warp coalescing hardware model on
+// 32-lane patterns: a per-lane step whose 16-byte stride folds into 8
+// distinct lines, and the same pattern as a replayed stride record,
+// priced from the record; a half-warp record makes lanes 16-31 check
+// the first half's lines.
 func BenchmarkCoalescer(b *testing.B) {
 	cfg := Base()
-	c := newCoalescer(&cfg)
-	accesses := make([]isa.MemAccess, isa.WarpSize)
-	for i := range accesses {
-		accesses[i] = isa.MemAccess{Lane: i, Addr: uint64(i * 16)}
+	perLane := &isa.Step{ActiveMask: fullMask, ActiveCount: isa.WarpSize}
+	for i := 0; i < isa.WarpSize; i++ {
+		perLane.Accesses = append(perLane.Accesses, isa.MemAccess{Lane: i, Addr: uint64(i * 16)})
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lines := c.lines(accesses, 0)
-		if len(lines) != 8 {
-			b.Fatalf("lines = %d, want 8", len(lines))
-		}
+	strided := func(stride, off uint64) *isa.Step {
+		return &isa.Step{ActiveMask: fullMask, ActiveCount: isa.WarpSize, Strided: true,
+			Base: 0x10000, Stride: stride, HalfOff: off}
+	}
+	for _, bc := range []struct {
+		name string
+		st   *isa.Step
+		want int
+	}{
+		{"lanes", perLane, 8},
+		{"stride16", strided(16, 16<<4), 8},
+		{"stride4", strided(4, 4<<4), 2},
+		{"half128", strided(128, 1<<20), 32},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := newCoalescer(&cfg)
+			for i := 0; i < b.N; i++ {
+				if lines := c.lines(bc.st, 0); len(lines) != bc.want {
+					b.Fatalf("lines = %d, want %d", len(lines), bc.want)
+				}
+			}
+		})
 	}
 }

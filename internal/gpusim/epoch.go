@@ -219,8 +219,8 @@ func (ls *launchState) runEpoch(workers, epoch int) error {
 		// A round that replayed nothing with every SM free means the
 		// whole launch is between events: jump the target straight to
 		// the next locally-issuable cycle (the epoch counterpart of the
-		// sequential loop's nextEvent hop), or report deadlock if there
-		// is none.
+		// sequential loop's jump to its next filed wake), or report
+		// deadlock if there is none.
 		if processed == 0 && epochAllFree(eps) {
 			next := blockedAt
 			for _, ep := range eps {
@@ -367,7 +367,7 @@ func (ls *launchState) logEpochMem(ep *epochSM, si int, w *warpRT, now uint64) u
 	sm := ep.sm
 	st := &ep.step.st
 	space := st.Instr.Space
-	lines := ep.coal.lines(st.Accesses, laneBaseOf(space))
+	lines := ep.coal.lines(st, laneBaseOf(space))
 	store := isStoreOp(st.Instr.Op)
 	sm.issueFreeAt = now + ep.step.issue + uint64(len(lines)-1)
 	off := len(ep.slab)
@@ -469,8 +469,7 @@ func (ls *launchState) replayEpochEvents(eps []*epochSM, horizon uint64, execErr
 // smNextIssue returns the earliest cycle ≥ now at which the SM could
 // issue on purely local knowledge, or blockedAt if no warp could issue
 // without outside help (parked warps are folded into blockedAt; their
-// SM is bounded by parkBound elsewhere). Mirrors nextEvent's per-SM
-// logic with an SM-local clock.
+// SM is bounded by parkBound elsewhere), on an SM-local clock.
 func smNextIssue(sm *smRT, now uint64) uint64 {
 	if s := sm.skipUntil; s > now {
 		if s == blockedAt {

@@ -16,10 +16,16 @@ import (
 // TestParallelBitIdenticalToSequential's leg) and worker count (counts
 // above NumSMs clamp), live execution must produce byte-identical stats
 // and identical functional outputs to the sequential path — on the
-// paper baseline (no data caches, so λ is the full DRAM latency) and on
-// Fermi (L1 + unified L2, a short λ that exercises frequent parking).
+// paper baseline (no data caches, so λ is the full DRAM latency), on
+// Fermi (L1 + unified L2, a short λ that exercises frequent parking),
+// and on an 80-SM baseline whose SMs above index 63 the workload's
+// last grid reaches: the epoch engine keeps its own per-SM clocks, so
+// it checks the sequential loop's wake wheel past one 64-SM word.
 func TestEpochBitIdenticalToSequential(t *testing.T) {
-	for _, base := range []Config{Base8SM(), GTX480(SharedBias)} {
+	wide := Base()
+	wide.Name = "gpgpusim-80sm"
+	wide.NumSMs = 80
+	for _, base := range []Config{Base8SM(), GTX480(SharedBias), wide} {
 		seqStats, seqOut := runDeterminismWorkload(t, base)
 		want := statsJSON(t, seqStats)
 		for _, epoch := range []int{1, 2, 8} {

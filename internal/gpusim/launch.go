@@ -2,6 +2,7 @@ package gpusim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/isa"
 )
@@ -13,11 +14,10 @@ type warpRT struct {
 	retired bool
 
 	// done and barrier cache w.Done() and w.AtBarrier(), and blocked is
-	// their disjunction with retired: the scheduler and nextEvent scan
-	// every warp on an SM each cycle, and the cached flags keep those hot
-	// loops down to one byte load with no interface dispatch. execOne
-	// updates them from the Step; checkRelease clears barrier/blocked on
-	// release.
+	// their disjunction with retired: the scheduler scans every warp on an
+	// SM at each visit, and the cached flags keep that hot loop down to
+	// one byte load with no interface dispatch. execWarp updates them from
+	// the Step; checkRelease clears barrier/blocked on release.
 	done    bool
 	barrier bool
 	blocked bool
@@ -56,18 +56,18 @@ type smRT struct {
 
 	// ready mirrors each warp's issue readiness — readyAt, or blockedAt
 	// for warps that cannot issue (barrier, done, retired) — indexed like
-	// warps. The scheduler, nextReady and nextEvent scan it instead of
-	// chasing warpRT pointers: the scans run every cycle on every SM and
-	// dominate the sequential loop's cache traffic. Every write to a
+	// warps. The scheduler and nextReady scan it instead of chasing
+	// warpRT pointers: the scheduler's scan runs at every visit of every
+	// SM and dominates the event loop's cache traffic. Every write to a
 	// warp's blocked/readyAt goes through syncReady.
 	ready []uint64
 
 	// skipUntil is a lower bound on the next cycle any warp on this SM can
-	// issue, recorded when a scheduler scan comes up empty so subsequent
-	// cycles skip the SM without rescanning. It is scheduler-independent
-	// (no policy can issue a warp before its readyAt) and is reset to 0
-	// whenever a warp's readiness changes outside settleTiming: barrier
-	// release and CTA placement.
+	// issue, recorded when a scheduler scan comes up empty so the loops
+	// skip the SM until then without rescanning (see wake). It is
+	// scheduler-independent (no policy can issue a warp before its
+	// readyAt) and is reset to 0 whenever a warp's readiness changes
+	// outside settleTiming: barrier release and CTA placement.
 	skipUntil uint64
 
 	// Per-SM resource accounting, so CTAs of different kernels can share
@@ -103,6 +103,11 @@ func (sm *smRT) nextReady() uint64 {
 	}
 	return best
 }
+
+// wake is the first cycle the SM can issue at: its issue port must be
+// free, and no warp is ready before skipUntil. It is blockedAt when no
+// warp can issue until the SM's own visit changes that.
+func (sm *smRT) wake() uint64 { return max(sm.issueFreeAt, sm.skipUntil) }
 
 // fits reports whether one more CTA of the spec fits on the SM.
 func (sm *smRT) fits(cfg *Config, sp *runSpec) bool {
@@ -236,70 +241,61 @@ func (ls *launchState) fill(sm *smRT, now uint64) error {
 	}
 }
 
-// run is the sequential event loop: each cycle, every SM issues at most
-// one warp instruction, in SM index order. When no warp can issue the
-// clock jumps to the next event.
+// run is the sequential event loop. An SM is visited only on a cycle it
+// can issue at: when a visit ends, the SM is filed in a wake wheel under
+// its wake (smRT.wake), and the clock jumps from one filed cycle to the
+// next. Within a cycle the filed SMs are visited in SM index order, each
+// issuing at most one warp instruction, so the schedule is the one a
+// scan of every SM on every cycle would give. Filing when a visit ends
+// is exact: an SM's wake changes only on its own visits, because barrier
+// release and refill touch only the SM being visited.
 func (ls *launchState) run() error {
 	var step issuedStep
 	lo := ls.lo
+	wh := newWakeWheel(len(ls.sms))
+	for si := range ls.sms {
+		wh.file(si, 0, 0)
+	}
 	for ls.pending > 0 {
-		issued := false
-		for si, sm := range ls.sms {
-			if sm.issueFreeAt > ls.now {
-				if lo != nil {
-					lo.stallPort[si]++
-				}
-				continue
-			}
-			if sm.skipUntil > ls.now {
-				if lo != nil {
-					lo.stallSkip[si]++
-				}
-				continue
-			}
-			ok, err := ls.execOne(sm, &step, ls.now)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				if lo != nil {
-					lo.stallWarp[si]++
-				}
-				continue
-			}
-			if step.mem {
-				ls.priceShared(sm, &step, ls.now)
-			}
-			ls.settleTiming(sm, &step, ls.now)
-			if w := step.w; w.done && !w.retired {
-				if err := ls.retire(sm, w, ls.now); err != nil {
-					return err
-				}
-			}
-			if lo != nil {
-				lo.busy[si]++
-			}
-			issued = true
-		}
-		if issued {
-			ls.now++
-			continue
-		}
-		next, ok := ls.nextEvent()
+		now, ok := wh.next(ls.now)
 		if !ok {
 			return ls.deadlock()
 		}
-		if next <= ls.now {
-			next = ls.now + 1
-		}
 		if lo != nil {
-			lo.skipAhead += next - ls.now - 1
+			lo.skipAhead += now - ls.now
 		}
-		ls.now = next
+		ls.now = now
+		row := wh.take(now)
+		for wi, word := range row {
+			row[wi] = 0
+			for ; word != 0; word &= word - 1 {
+				si := wi<<6 + bits.TrailingZeros64(word)
+				sm := ls.sms[si]
+				if lo != nil {
+					lo.idle(si, now, sm.issueFreeAt)
+				}
+				issued, err := ls.execOne(sm, &step, now)
+				if err != nil {
+					return err
+				}
+				if lo != nil {
+					lo.visited(si, now, issued)
+				}
+				wh.file(si, sm.wake(), now)
+			}
+		}
+		ls.now = now + 1
 	}
 	// Buffered stores may still be draining: the launch is not over until
 	// every DRAM channel is idle.
-	ls.now = ls.dram.drainedBy(ls.now)
+	end := ls.now
+	ls.now = ls.dram.drainedBy(end)
+	if lo != nil {
+		for si, sm := range ls.sms {
+			lo.idle(si, end, sm.issueFreeAt)
+			lo.stallSkip[si] += ls.now - end
+		}
+	}
 	return nil
 }
 
@@ -308,67 +304,40 @@ func (ls *launchState) deadlock() error {
 		ls.specs[0].k.Name, ls.now, ls.pending)
 }
 
-// nextEvent finds the earliest cycle at which any warp could issue. An SM
-// whose scheduler scan already recorded a skip bound contributes that
-// bound directly; the bound is conservative (warps only get later, and
-// releases reset it to zero), so at worst the clock advances in more than
-// one hop, never past a real event.
-func (ls *launchState) nextEvent() (uint64, bool) {
-	best := ^uint64(0)
-	found := false
-	for _, sm := range ls.sms {
-		if s := sm.skipUntil; s > ls.now {
-			if s != ^uint64(0) {
-				if sm.issueFreeAt > s {
-					s = sm.issueFreeAt
-				}
-				if s < best {
-					best = s
-					found = true
-				}
-			}
-			continue
-		}
-		for _, at := range sm.ready {
-			if at == blockedAt {
-				continue
-			}
-			if sm.issueFreeAt > at {
-				at = sm.issueFreeAt
-			}
-			if at < best {
-				best = at
-				found = true
-			}
-		}
-	}
-	return best, found
-}
-
-// execOne asks the scheduler for a warp on the SM, replays one warp
-// instruction, and charges everything that depends only on SM-local
-// state into the launch's tally: instruction/occupancy counters,
-// ALU/SFU/control pricing, barrier arrival, and the SM-private memory
-// spaces (parameter, shared). Memory instructions that route through the
-// launch-global memory system are returned with mem=true for the caller
-// to price via priceShared. now is the launch clock of the sequential
-// loop, its only caller.
-func (ls *launchState) execOne(sm *smRT, out *issuedStep, now uint64) (bool, error) {
-	if sm.skipUntil > now {
-		return false, nil
-	}
+// execOne is one SM's visit on the sequential loop, its only caller, at
+// cycle now, when the SM's issue port is free. It asks the scheduler for
+// a warp and, when one can issue, replays its next instruction, prices
+// it through the memory system, settles its timing and retires the warp
+// if it finished. It reports whether a warp issued.
+func (ls *launchState) execOne(sm *smRT, step *issuedStep, now uint64) (bool, error) {
 	w := ls.g.sched.pick(sm, now)
 	if w == nil {
 		return false, nil // pick recorded sm.skipUntil
 	}
-	return true, ls.execWarp(sm, w, ls.tally, out, now)
+	if err := ls.execWarp(sm, w, ls.tally, step, now); err != nil {
+		return false, err
+	}
+	if step.mem {
+		ls.priceShared(sm, step, now)
+	}
+	ls.settleTiming(sm, step, now)
+	if w.done && !w.retired {
+		if err := ls.retire(sm, w, now); err != nil {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
-// execWarp is execOne past warp selection: it decodes w's next recorded
-// instruction and settles every SM-local charge. The epoch path calls it
-// directly after its own pick, concurrently for SMs on different shards,
-// each shard with its own tally; now is then the SM's local clock. Its
-// only error is a stream that cannot be decoded.
+// execWarp decodes w's next recorded instruction and settles every
+// SM-local charge: instruction and occupancy counters, ALU/SFU/control
+// pricing, barrier arrival, and the SM-private memory spaces (parameter,
+// shared). A memory instruction that routes through the launch-global
+// memory system comes back with mem=true, for the caller to price via
+// priceShared. execOne calls it after the scheduler's pick; the epoch
+// path calls it directly after its own pick, concurrently for SMs on
+// different shards, each shard with its own tally; now is then the SM's
+// local clock. Its only error is a stream that cannot be decoded.
 func (ls *launchState) execWarp(sm *smRT, w *warpRT, tally []*Stats, out *issuedStep, now uint64) error {
 	st := &out.st
 	if err := w.w.Exec(nil, st); err != nil {

@@ -1,6 +1,14 @@
 package gpusim
 
-import "repro/internal/isa"
+import (
+	"math/bits"
+	"slices"
+
+	"repro/internal/isa"
+)
+
+// fullMask is the active mask of a warp with every lane active.
+const fullMask = 1<<isa.WarpSize - 1
 
 // coalescer merges the lanes of one warp memory instruction into unique
 // line-sized transactions (the per-warp coalescing hardware). laneBase,
@@ -11,6 +19,7 @@ type coalescer struct {
 	lineShift uint
 	disabled  bool
 	scratch   []uint64
+	lanes     [isa.WarpSize]isa.MemAccess // Step.Lanes buffer for laneLines
 }
 
 func newCoalescer(cfg *Config) coalescer {
@@ -21,9 +30,24 @@ func newCoalescer(cfg *Config) coalescer {
 	return c
 }
 
-// lines returns the coalesced line addresses for a warp's accesses. The
-// returned slice aliases internal scratch, valid until the next call.
-func (c *coalescer) lines(accesses []isa.MemAccess, laneBase uint64) []uint64 {
+// lines returns the coalesced line addresses of a warp memory step, in
+// the order its lanes first touch them. A strided step is priced from
+// its record (stridedLines) unless its space is per-thread or coalescing
+// is off; every other step lane by lane. The returned slice aliases
+// internal scratch, valid until the next call.
+func (c *coalescer) lines(st *isa.Step, laneBase uint64) []uint64 {
+	if st.Strided && laneBase == 0 && !c.disabled {
+		if lines, ok := c.stridedLines(st); ok {
+			return lines
+		}
+	}
+	return c.laneLines(st.Lanes(c.lanes[:]), laneBase)
+}
+
+// laneLines is the per-lane coalescer: the path for per-lane steps, local
+// space, disabled coalescing and stride records near the top of the
+// address space, and the oracle the strided path is tested against.
+func (c *coalescer) laneLines(accesses []isa.MemAccess, laneBase uint64) []uint64 {
 	scratch := c.scratch[:0]
 	for i := range accesses {
 		a := &accesses[i]
@@ -55,6 +79,78 @@ func (c *coalescer) lines(accesses []isa.MemAccess, laneBase uint64) []uint64 {
 	}
 	c.scratch = scratch
 	return scratch
+}
+
+// stridedLines emits a strided step's lines arithmetically, in the
+// per-lane order. It reports false, leaving the step to laneLines, when
+// a lane address could wrap past 2^64 (halfRunFits): within the guard
+// every half-warp is a monotone run of addresses, so its lines are
+// monotone too, and a line the half-warp already touched is always the
+// last one emitted.
+//
+//   - A full warp under one stride narrower than a line touches every
+//     line from lane 0's to lane 31's, each once: the run is emitted
+//     directly.
+//   - Otherwise lanes go in order, each checked against the last line
+//     emitted. Under one stride the whole warp is one monotone run;
+//     under a half-warp record, lanes 16-31 are also checked against the
+//     lines of lanes 0-15.
+func (c *coalescer) stridedLines(st *isa.Step) ([]uint64, bool) {
+	mask := st.ActiveMask
+	base, stride, off := st.Base, st.Stride, st.HalfOff
+	if mask&0xffff != 0 && !halfRunFits(base, stride) || mask>>16 != 0 && !halfRunFits(base+off, stride) {
+		return nil, false
+	}
+	shift := c.lineShift
+	out := c.scratch[:0]
+	warp := off == stride<<4
+	if s := int64(stride); warp && mask == fullMask && s < 1<<shift && s > -1<<shift {
+		line := base >> shift << shift
+		last := (base + 31*stride) >> shift << shift
+		step := uint64(1) << shift
+		if s < 0 {
+			step = -step
+		}
+		for ; line != last; line += step {
+			out = append(out, line)
+		}
+		c.scratch = append(out, last)
+		return c.scratch, true
+	}
+	// A half-warp record's lines of lanes 0-15, a monotone run within
+	// [lo, hi].
+	var first []uint64
+	lo, hi := uint64(1), uint64(0)
+	for h := 0; h < 2; h++ {
+		a := base + uint64(h)*off
+		for m := mask >> (16 * h) & 0xffff; m != 0; m &= m - 1 {
+			line := (a + uint64(bits.TrailingZeros32(m))*stride) >> shift << shift
+			if n := len(out); n > 0 && out[n-1] == line ||
+				line >= lo && line <= hi && slices.Contains(first, line) {
+				continue
+			}
+			out = append(out, line)
+		}
+		if n := len(out); !warp && n > 0 {
+			first = out
+			lo, hi = min(out[0], out[n-1]), max(out[0], out[n-1])
+		}
+	}
+	c.scratch = out
+	return out, true
+}
+
+// halfRunFits reports whether the 16 addresses a + k*stride, k = 0..15,
+// lie in [0, 2^62) without wrapping: the guard under which a strided
+// record's lanes are priced from the record.
+func halfRunFits(a, stride uint64) bool {
+	const limit = 1 << 62
+	s := int64(stride)
+	if a >= limit || s >= 1<<57 || s <= -1<<57 {
+		return false
+	}
+	end := int64(a) + 15*s
+	return end >= 0 && end < limit
 }
 
 // bankModel computes the shared-memory bank-conflict degree: the maximum
@@ -90,19 +186,72 @@ func newBankModel(cfg *Config) bankModel {
 }
 
 // bankScratch is fixed-size per-SM bookkeeping for degree: per bank, the
-// distinct words seen in the current lane group. A warp has at most 32
-// lanes, so 32 words per bank always suffice, and reusing the scratch
-// keeps the conflict model allocation-free on the hot path. Each SM owns
-// one (smCaches.bankScr) so concurrent shards never share it.
+// distinct words seen in the current lane group, and the buffer a
+// strided step expands into when it takes the per-lane path. A warp has
+// at most 32 lanes, so 32 words per bank always suffice, and reusing the
+// scratch keeps the conflict model allocation-free on the hot path. Each
+// SM owns one (smCaches.bankScr) so concurrent shards never share it.
 type bankScratch struct {
 	words [32][32]uint64
 	count [32]uint8
+	lanes [isa.WarpSize]isa.MemAccess
 }
 
-func (m bankModel) degree(accesses []isa.MemAccess, scr *bankScratch) int {
+// degree returns a shared-memory step's conflict degree. A word-aligned
+// stride record on a power-of-two bank count is priced from its word
+// stride and mask (stridedDegree); every other step lane by lane.
+func (m bankModel) degree(st *isa.Step, scr *bankScratch) int {
 	if !m.enabled {
 		return 1
 	}
+	if st.Strided {
+		if d, ok := m.stridedDegree(st); ok {
+			return d
+		}
+	}
+	return m.laneDegree(st.Lanes(scr.lanes[:]), scr)
+}
+
+// stridedDegree prices a strided step whose every bank group is one run
+// of lanes under one stride: groups inside half-warps, or one stride
+// across the warp. Word-aligned and without wrapping, a group's words
+// w0 + k*ws are distinct, and lanes k and k' share a bank exactly when
+// k ≡ k' modulo p = banks / 2^min(t, log2 banks), t the trailing zeros
+// of ws. So the degree is the most active lanes of one group in one
+// residue class mod p: 2^min(t, log2 banks) for a full warp, 1 when
+// t = 0 or ws = 0 (a broadcast). It reports false for every other
+// record.
+func (m bankModel) stridedDegree(st *isa.Step) (int, bool) {
+	base, stride, off := st.Base, st.Stride, st.HalfOff
+	if !m.pow2 || (base|stride|off)&3 != 0 || m.banks > 16 && off != stride<<4 ||
+		!halfRunFits(base, stride) || !halfRunFits(base+off, stride) {
+		return 0, false
+	}
+	if stride == 0 {
+		return 1, true
+	}
+	t := min(uint(bits.TrailingZeros64(stride>>2)), m.shift)
+	if st.ActiveMask == fullMask || t == 0 {
+		return 1 << t, true
+	}
+	// Each group's lanes by residue class: class 0 is every p-th lane of
+	// the group, class r that pattern shifted by r.
+	p := uint(1) << (m.shift - t)
+	group := uint64(1)<<m.banks - 1
+	class := group / (1<<p - 1)
+	degree := 1
+	for g := uint(0); g < isa.WarpSize; g += uint(m.banks) {
+		lanes := uint64(st.ActiveMask) >> g & group
+		for r := uint(0); r < p; r++ {
+			degree = max(degree, bits.OnesCount64(lanes&(class<<r)))
+		}
+	}
+	return degree, true
+}
+
+// laneDegree is the per-lane bank model, and the oracle stridedDegree is
+// tested against.
+func (m bankModel) laneDegree(accesses []isa.MemAccess, scr *bankScratch) int {
 	banks := m.banks
 	degree := 1
 	group := -1
@@ -385,7 +534,7 @@ func (ms *memSubsystem) localCost(st *isa.Step, issue uint64, ks *Stats, scr *ba
 	if st.Instr.Space == isa.SpaceParam {
 		return issue, uint64(ms.cfg.ParamLatency)
 	}
-	degree := ms.banks.degree(st.Accesses, scr)
+	degree := ms.banks.degree(st, scr)
 	if degree > 1 {
 		extra := uint64(degree-1) * issue
 		ks.BankConflictCycles += extra
@@ -413,7 +562,7 @@ func isStoreOp(op isa.Op) bool { return op == isa.OpSt || op == isa.OpStF }
 // atomics). Callers must serialize invocations in SM index order.
 func (ms *memSubsystem) sharedCost(now uint64, caches *smCaches, cta int, st *isa.Step, issue uint64, gs *Stats) (uint64, uint64) {
 	space := st.Instr.Space
-	lines := ms.coal.lines(st.Accesses, laneBaseOf(space))
+	lines := ms.coal.lines(st, laneBaseOf(space))
 	store := isStoreOp(st.Instr.Op)
 	lat := ms.priceLines(now, caches, cta, space, store, lines, gs)
 	return issue + uint64(len(lines)-1), lat

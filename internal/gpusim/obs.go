@@ -26,11 +26,18 @@ import (
 // launchObs tallies one launch's timing telemetry.
 type launchObs struct {
 	// Per-SM, indexed by SM number. Written only by the SM's owning
-	// goroutine (sequential loop or the epoch worker that shards it).
+	// goroutine (sequential loop or the epoch worker that shards it). On
+	// the sequential loop the four partition the launch's cycles: an SM
+	// is busy or stalled at the scheduler on each cycle it is visited,
+	// and between visits it waits on its issue port, then on skipUntil;
+	// the final DRAM drain counts as skip.
 	busy      []uint64 // cycles the SM issued a warp instruction
 	stallPort []uint64 // cycles lost to issue-port back-pressure (issueFreeAt)
 	stallSkip []uint64 // cycles skipped via the scheduler's skipUntil bound
 	stallWarp []uint64 // scheduler scans that found no issuable warp
+
+	// Per-SM, sequential loop only: the first cycle not yet tallied.
+	tallied []uint64
 
 	// Per-SM, epoch path only (epoch.go); same ownership rule as above.
 	epochParks []uint64 // loads parked awaiting coordinator pricing
@@ -42,7 +49,7 @@ type launchObs struct {
 	barrierWaitNs []uint64
 
 	// Coordinator-only (epoch replay / sequential loop).
-	skipAhead        uint64 // cycles elided by event-driven clock jumps
+	skipAhead        uint64 // cycles the clock jumped over, no SM visited
 	dramBacklog      uint64 // summed channel backlog at enqueue, in cycles
 	dramMaxBacklog   uint64 // worst single-channel backlog observed
 	dramAccesses     uint64 // line transactions enqueued
@@ -61,11 +68,36 @@ func newLaunchObs(numSMs int, c *gpuCounters) *launchObs {
 		stallPort:  make([]uint64, numSMs),
 		stallSkip:  make([]uint64, numSMs),
 		stallWarp:  make([]uint64, numSMs),
+		tallied:    make([]uint64, numSMs),
 		epochParks: make([]uint64, numSMs),
 		epochHolds: make([]uint64, numSMs),
 		waitHist:   c.waitHist,
 		roundHist:  c.roundHist,
 	}
+}
+
+// idle tallies the cycles from SM si's last tally up to cycle to, on
+// which the sequential loop did not visit it: port stalls while its
+// issue port stayed busy, skips after. The SM's state does not change
+// between its visits, so issueFreeAt is the one its last visit left.
+func (lo *launchObs) idle(si int, to, issueFreeAt uint64) {
+	from := lo.tallied[si]
+	if port := min(issueFreeAt, to); port > from {
+		lo.stallPort[si] += port - from
+		from = port
+	}
+	lo.stallSkip[si] += to - from
+	lo.tallied[si] = to
+}
+
+// visited tallies the sequential loop's visit of SM si at cycle now.
+func (lo *launchObs) visited(si int, now uint64, issued bool) {
+	if issued {
+		lo.busy[si]++
+	} else {
+		lo.stallWarp[si]++
+	}
+	lo.tallied[si] = now + 1
 }
 
 // barrierSample is the epoch workers' barrier sampling period: one in
@@ -79,7 +111,8 @@ type gpuCounters struct {
 	// every launch the SM took part in, so busy+idle == smCycles holds
 	// per SM even when one registry observes GPUs with different SM
 	// counts (a sweep mixing 8-SM and 30-SM configurations).
-	busy, idle, smCycles []*obs.Counter
+	busy, idle, smCycles   []*obs.Counter
+	smPort, smSkip, smWarp []*obs.Counter
 
 	stallPort, stallSkip, stallWarp *obs.Counter
 	skipAhead                       *obs.Counter
@@ -120,6 +153,9 @@ func newGPUCounters(r *obs.Registry, numSMs int) *gpuCounters {
 		c.busy = append(c.busy, r.Counter(obs.Name("gpusim.sm.busy_cycles", "sm", label)))
 		c.idle = append(c.idle, r.Counter(obs.Name("gpusim.sm.idle_cycles", "sm", label)))
 		c.smCycles = append(c.smCycles, r.Counter(obs.Name("gpusim.sm.cycles", "sm", label)))
+		c.smPort = append(c.smPort, r.Counter(obs.Name("gpusim.sm.port_cycles", "sm", label)))
+		c.smSkip = append(c.smSkip, r.Counter(obs.Name("gpusim.sm.skip_cycles", "sm", label)))
+		c.smWarp = append(c.smWarp, r.Counter(obs.Name("gpusim.sm.sched_cycles", "sm", label)))
 	}
 	return c
 }
@@ -128,14 +164,22 @@ func newGPUCounters(r *obs.Registry, numSMs int) *gpuCounters {
 // registry deliberately lives outside Config — Config values key the
 // experiment layer's memoization maps — and the telemetry stays out of
 // Stats, whose DeepEqual comparisons back the determinism tests. Counter
-// names: per-SM gpusim.sm.{busy,idle}_cycles{sm=N} (busy+idle sums to
-// gpusim.cycles for every SM), stall cycles by reason under
-// gpusim.stall.*, elided clock jumps, DRAM channel backlog, sampled
-// per-worker shard-barrier wait (gpusim.barrier.wait_ns summed, raw
-// samples in the gpusim.barrier.wait_sample_ns histogram), barrier
-// crossings (gpusim.barrier.crossings, one per epoch round), and the
-// epoch engine's parked loads, retire holds and per-round clock advance
-// (gpusim.epoch.*).
+// names:
+//
+//   - per SM, gpusim.sm.{busy,idle}_cycles{sm=N}, whose sum is the SM's
+//     gpusim.sm.cycles{sm=N}, and the stall cycles by reason,
+//     gpusim.sm.{port,skip,sched}_cycles{sm=N}; on the sequential loop
+//     busy, port, skip and sched partition the SM's cycles (launchObs);
+//   - the stall totals over SMs, gpusim.stall.{port,skip,sched}_cycles;
+//   - gpusim.clock.skipped_cycles, the cycles the clock jumped over
+//     without visiting any SM (the final DRAM drain aside);
+//   - DRAM channel backlog and accesses (gpusim.dram.*);
+//   - sampled per-worker shard-barrier wait (gpusim.barrier.wait_ns
+//     summed, raw samples in the gpusim.barrier.wait_sample_ns
+//     histogram) and barrier crossings (gpusim.barrier.crossings, one
+//     per epoch round);
+//   - the epoch engine's parked loads, retire holds and per-round clock
+//     advance (gpusim.epoch.*).
 func (g *GPU) SetObs(r *obs.Registry) {
 	if r == nil {
 		g.obsC = nil
@@ -153,6 +197,9 @@ func (c *gpuCounters) flushObs(lo *launchObs, launchCycles uint64) {
 		c.busy[s].Add(lo.busy[s])
 		c.idle[s].Add(launchCycles - lo.busy[s])
 		c.smCycles[s].Add(launchCycles)
+		c.smPort[s].Add(lo.stallPort[s])
+		c.smSkip[s].Add(lo.stallSkip[s])
+		c.smWarp[s].Add(lo.stallWarp[s])
 		port += lo.stallPort[s]
 		skip += lo.stallSkip[s]
 		warp += lo.stallWarp[s]

@@ -29,8 +29,10 @@ func runVecAddObs(t *testing.T, cfg Config, n int) (*Stats, *obs.Registry) {
 
 // checkObsInvariants asserts the telemetry's cycle accounting against
 // the run's Stats: gpusim.cycles equals Stats.Cycles, and every SM's
-// busy+idle equals its per-SM cycle total, which (single launch, one
-// configuration) equals the run-wide count.
+// busy+idle equals its per-SM cycle total, which (one configuration)
+// equals the run-wide count. On the sequential loop the stall reasons
+// partition each SM's cycles too: busy + port + skip + sched equals the
+// SM's cycles, and the per-SM reasons sum to the gpusim.stall.* totals.
 func checkObsInvariants(t *testing.T, cfg Config, st *Stats, r *obs.Registry) {
 	t.Helper()
 	c := r.Counters()
@@ -40,7 +42,7 @@ func checkObsInvariants(t *testing.T, cfg Config, st *Stats, r *obs.Registry) {
 	if c["gpusim.launches"] != uint64(st.Launches) {
 		t.Fatalf("gpusim.launches = %d, Stats.Launches = %d", c["gpusim.launches"], st.Launches)
 	}
-	var busyTotal uint64
+	var busyTotal, portTotal, skipTotal, schedTotal uint64
 	for s := 0; s < cfg.NumSMs; s++ {
 		label := strconv.Itoa(s)
 		busy := c[obs.Name("gpusim.sm.busy_cycles", "sm", label)]
@@ -52,19 +54,46 @@ func checkObsInvariants(t *testing.T, cfg Config, st *Stats, r *obs.Registry) {
 		if cyc != st.Cycles {
 			t.Fatalf("sm %d: cycles %d != Stats.Cycles %d", s, cyc, st.Cycles)
 		}
+		port := c[obs.Name("gpusim.sm.port_cycles", "sm", label)]
+		skip := c[obs.Name("gpusim.sm.skip_cycles", "sm", label)]
+		sched := c[obs.Name("gpusim.sm.sched_cycles", "sm", label)]
+		if cfg.ShardWorkers <= 1 && busy+port+skip+sched != cyc {
+			t.Fatalf("sm %d: busy %d + port %d + skip %d + sched %d != cycles %d", s, busy, port, skip, sched, cyc)
+		}
 		busyTotal += busy
+		portTotal += port
+		skipTotal += skip
+		schedTotal += sched
 	}
 	if busyTotal == 0 {
 		t.Fatal("no SM recorded a busy cycle")
 	}
+	for _, tot := range []struct {
+		name string
+		sum  uint64
+	}{
+		{"gpusim.stall.port_cycles", portTotal},
+		{"gpusim.stall.skip_cycles", skipTotal},
+		{"gpusim.stall.sched_cycles", schedTotal},
+	} {
+		if c[tot.name] != tot.sum {
+			t.Fatalf("%s = %d, per-SM sum %d", tot.name, c[tot.name], tot.sum)
+		}
+	}
 }
 
 // TestObsSequential pins the telemetry invariants on the sequential
-// event loop and that attaching a registry does not perturb Stats.
+// event loop and that attaching a registry does not perturb Stats. A
+// second device with one narrow DRAM channel ends the launch with
+// stores still queued, so its final drain must be tallied too.
 func TestObsSequential(t *testing.T) {
 	cfg := Base8SM()
 	st, r := runVecAddObs(t, cfg, 4096)
 	checkObsInvariants(t, cfg, st, r)
+	narrow := Base8SM()
+	narrow.MemChannels, narrow.DRAMBusBytes = 1, 1
+	nst, nr := runVecAddObs(t, narrow, 4096)
+	checkObsInvariants(t, narrow, nst, nr)
 
 	g, err := New(cfg)
 	if err != nil {

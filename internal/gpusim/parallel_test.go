@@ -21,9 +21,11 @@ func statsJSON(t *testing.T, s *Stats) string {
 
 // runDeterminismWorkload runs a fixed workload on a fresh device of the
 // given configuration: two single-kernel launches, a barrier-heavy
-// reduction, and one concurrent two-kernel launch, all on the same GPU
-// so persistent cache and sharing-tracker state is exercised across
-// launches. It returns the final stats and the functional outputs.
+// reduction, one concurrent two-kernel launch, and a vector add with
+// four CTAs per SM, whose grid reaches every SM of a device where four
+// fit, all on the same GPU so persistent cache and sharing-tracker state
+// is exercised across launches. It returns the final stats and the
+// functional outputs.
 func runDeterminismWorkload(t *testing.T, cfg Config) (*Stats, []float32) {
 	t.Helper()
 	const n = 4096
@@ -62,13 +64,22 @@ func runDeterminismWorkload(t *testing.T, cfg Config) (*Stats, []float32) {
 		t.Fatal(err)
 	}
 
-	out := make([]float32, 0, 2*n+16)
+	nw := cfg.NumSMs * 4 * 256
+	memW, outW := setupVecAdd(nw)
+	if err := g.Launch(vecAddKernel(), isa.Launch{Grid: nw / 256, Block: 256}, memW); err != nil {
+		t.Fatal(err)
+	}
+
+	out := make([]float32, 0, 2*n+16+nw)
 	for i := 0; i < n; i++ {
 		out = append(out, memA.ReadF32(isa.SpaceGlobal, outA+uint64(i*4)))
 		out = append(out, memC.ReadF32(isa.SpaceGlobal, outC+uint64(i*4)))
 	}
 	for i := 0; i < 16; i++ {
 		out = append(out, float32(memR.ReadI64(isa.SpaceGlobal, red+uint64(i*8))))
+	}
+	for i := 0; i < nw; i++ {
+		out = append(out, memW.ReadF32(isa.SpaceGlobal, outW+uint64(i*4)))
 	}
 	return g.Stats, out
 }

@@ -23,7 +23,7 @@ var _ warpScheduler = looseRoundRobin{}
 
 func (looseRoundRobin) pick(sm *smRT, now uint64) *warpRT {
 	// Scan the SM's flat readiness array rather than the warp structs:
-	// this loop runs every cycle on every SM, and blocked warps are
+	// this loop runs at every visit of every SM, and blocked warps are
 	// already folded into the array as an unreachable cycle.
 	ready := sm.ready
 	n := len(ready)

@@ -30,15 +30,45 @@ type MemAccess struct {
 
 // Step reports what a warp did for one executed instruction. The timing
 // simulator prices the step; the functional executor ignores it.
+//
+// A memory step gives its active lanes' addresses in one of two forms.
+// A per-lane step lists one access per active lane, in ascending lane
+// order, in Accesses; the interpreters report only this form. A strided
+// step (Strided set, Accesses empty) is a replayed stride record: lane
+// L's address is Base + (L mod 16)*Stride + (L div 16)*HalfOff, in
+// wrapping uint64 arithmetic, so one stride across the whole warp has
+// HalfOff = 16*Stride. The timing model prices a strided step from its
+// record without expanding it; Lanes expands either form.
 type Step struct {
 	Instr       *Instr
 	PC          int
 	ActiveMask  uint32
 	ActiveCount int
-	Accesses    []MemAccess // only for ClassMem instructions
-	AtBarrier   bool        // warp stopped at a barrier
-	Done        bool        // all threads exited
-	Diverged    bool        // a branch split the warp
+	Accesses    []MemAccess // a per-lane memory step's accesses
+
+	// A strided memory step's record; zero on every other step.
+	Base, Stride, HalfOff uint64
+
+	Strided   bool // a memory step given by Base, Stride and HalfOff
+	AtBarrier bool // warp stopped at a barrier
+	Done      bool // all threads exited
+	Diverged  bool // a branch split the warp
+}
+
+// Lanes returns a memory step's accesses, one per active lane in
+// ascending lane order. A per-lane step returns Accesses. A strided step
+// is expanded into buf, grown to WarpSize when it is shorter, so the
+// result aliases buf.
+func (st *Step) Lanes(buf []MemAccess) []MemAccess {
+	if !st.Strided {
+		return st.Accesses
+	}
+	if cap(buf) < WarpSize {
+		buf = make([]MemAccess, WarpSize)
+	}
+	buf = buf[:st.ActiveCount]
+	expandStrided(buf, st.ActiveMask, st.Base, st.Stride, st.HalfOff)
+	return buf
 }
 
 // WarpExec is the warp interpreter contract the timing simulator and the
@@ -144,12 +174,15 @@ func (w *Warp) Exec(env *Env, st *Step) error {
 	}
 	pc := e.pc
 	d := &w.prog[pc]
-	*st = Step{
-		Instr:       &w.Kernel.Instrs[pc],
-		PC:          pc,
-		ActiveMask:  e.mask,
-		ActiveCount: bits.OnesCount32(e.mask),
-	}
+	// Field by field: a Step literal is built in a temporary and copied
+	// whole, which costs more than the stores on this per-step path.
+	st.Instr = &w.Kernel.Instrs[pc]
+	st.PC = pc
+	st.ActiveMask = e.mask
+	st.ActiveCount = bits.OnesCount32(e.mask)
+	st.Accesses = nil
+	st.Base, st.Stride, st.HalfOff = 0, 0, 0
+	st.Strided, st.AtBarrier, st.Done, st.Diverged = false, false, false, false
 
 	switch d.op {
 	case OpBra:

@@ -11,8 +11,8 @@ import (
 // instruction streams, active masks and memory addresses — recorded once
 // and replayed under different timing configurations. The timing
 // simulator prices a warp instruction entirely from its Step (opcode
-// class, active count, per-lane accesses), so a recorded stream is enough
-// to drive the scheduler, coalescer, caches and DRAM model without
+// class, active count, addresses), so a recorded stream is enough to
+// drive the scheduler, coalescer, caches and DRAM model without
 // re-executing the kernel.
 //
 // The encoding is compact on purpose, for two reasons: a whole-suite
@@ -52,7 +52,9 @@ import (
 // address exactly. Lane numbers are the set bits of the mask in ascending
 // order (execMem visits lanes in exactly that order), the access width
 // comes from the instruction's MType, and store-ness from its opcode, so
-// none of them are recorded.
+// none of them are recorded. Replay hands the two strided modes to the
+// timing model as they are recorded, as a strided Step that is priced
+// from its base and stride; only addrLanes is decoded lane by lane.
 
 const (
 	tracePCBits = 24
@@ -363,19 +365,20 @@ func (w *ReplayWarp) corrupt(pos int, format string, args ...any) error {
 
 // Exec reproduces the warp's next recorded step. It mirrors Warp.Exec's
 // contract: not callable at a barrier, and a no-op Done step once the
-// warp has finished. A memory step's accesses are decoded into the
-// backing array of st.Accesses, grown to WarpSize when it is shorter, so
-// they stay valid until the next Exec into the same Step; concurrent
-// replays must pass Steps of their own. Bytes that do not decode are an
-// error, never a panic, and every step consumes at least one byte.
+// warp has finished. A memory step comes back in its record's form: a
+// stride record as a strided Step (see Step), which is never expanded
+// here, and a per-lane record as accesses decoded into the backing array
+// of st.Accesses, grown to WarpSize when it is shorter, so they stay
+// valid until the next Exec into the same Step; concurrent replays must
+// pass Steps of their own. Bytes that do not decode are an error, never
+// a panic, and every step consumes at least one byte.
 func (w *ReplayWarp) Exec(env *Env, st *Step) error {
-	buf := st.Accesses[:0]
 	if w.done {
-		*st = Step{Done: true, Accesses: buf}
+		*st = Step{Done: true, Accesses: st.Accesses[:0]}
 		return nil
 	}
 	if w.atBarrier {
-		*st = Step{Accesses: buf}
+		*st = Step{Accesses: st.Accesses[:0]}
 		return fmt.Errorf("isa: Exec on warp waiting at barrier")
 	}
 	d, p := w.data, w.pos
@@ -409,22 +412,21 @@ func (w *ReplayWarp) Exec(env *Env, st *Step) error {
 		return w.corrupt(w.pos, "PC %d outside the kernel's %d instructions", pc, len(w.kernel.Instrs))
 	}
 	in := &w.kernel.Instrs[pc]
-	*st = Step{
-		Instr:       in,
-		PC:          pc,
-		ActiveMask:  mask,
-		ActiveCount: bits.OnesCount32(mask),
-		Accesses:    buf,
-		AtBarrier:   fb&traceBarrier != 0,
-		Done:        fb&traceDone != 0,
-		Diverged:    fb&traceDiverged != 0,
-	}
+	// Field by field: a Step literal is built in a temporary and copied
+	// whole, which costs more than the stores on this per-step path.
+	st.Instr = in
+	st.PC = pc
+	st.ActiveMask = mask
+	st.ActiveCount = bits.OnesCount32(mask)
+	st.Accesses = st.Accesses[:0]
+	st.Base, st.Stride, st.HalfOff = 0, 0, 0
+	st.Strided = false
+	st.AtBarrier = fb&traceBarrier != 0
+	st.Done = fb&traceDone != 0
+	st.Diverged = fb&traceDiverged != 0
 	if in.Op.Class() == ClassMem {
-		if cap(buf) < WarpSize {
-			buf = make([]MemAccess, WarpSize)
-		}
 		var err error
-		if st.Accesses, p, err = w.decodeAddrs(d, p, mask, buf[:st.ActiveCount]); err != nil {
+		if p, err = w.decodeAddrs(d, p, st); err != nil {
 			return err
 		}
 	}
@@ -440,11 +442,13 @@ func (w *ReplayWarp) Exec(env *Env, st *Step) error {
 	return nil
 }
 
-// decodeAddrs decodes the address record at d[p:] into buf, one access
-// per set bit of mask, and returns buf and the position after the record.
-func (w *ReplayWarp) decodeAddrs(d []byte, p int, mask uint32, buf []MemAccess) ([]MemAccess, int, error) {
+// decodeAddrs decodes the address record at d[p:] into st, whose mask
+// and active count are set: a stride record into its strided fields, a
+// per-lane record into Accesses, one access per set bit of the mask. It
+// returns the position after the record.
+func (w *ReplayWarp) decodeAddrs(d []byte, p int, st *Step) (int, error) {
 	if p >= len(d) {
-		return nil, p, w.exhausted()
+		return p, w.exhausted()
 	}
 	mode := d[p]
 	p++
@@ -458,21 +462,27 @@ func (w *ReplayWarp) decodeAddrs(d []byte, p int, mask uint32, buf []MemAccess) 
 		for j := 0; j < n; j++ {
 			var err error
 			if v[j], p, err = w.varint(d, p); err != nil {
-				return nil, p, err
+				return p, err
 			}
 		}
 		base, stride, off := w.prevAddr+v[0], v[1], v[2]
 		if mode == addrStride {
 			off = stride << 4
 		}
-		expandStrided(buf, mask, base, stride, off)
+		st.Strided = true
+		st.Base, st.Stride, st.HalfOff = base, stride, off
 		w.prevAddr = base
-		return buf, p, nil
+		return p, nil
 	case addrLanes:
+		buf := st.Accesses
+		if cap(buf) < WarpSize {
+			buf = make([]MemAccess, WarpSize)
+		}
+		buf = buf[:st.ActiveCount]
 		// Hot loop: one decoded access per set mask bit, filled by index.
 		prev := w.prevAddr
 		i := 0
-		for m := mask; m != 0; m &= m - 1 {
+		for m := st.ActiveMask; m != 0; m &= m - 1 {
 			// Decode one delta inline: a call here would spill the loop's
 			// registers on every lane. The single-byte delta is by far the
 			// common case.
@@ -483,10 +493,10 @@ func (w *ReplayWarp) decodeAddrs(d []byte, p int, mask uint32, buf []MemAccess) 
 			} else {
 				for shift := uint(0); ; shift += 7 {
 					if p >= len(d) {
-						return nil, p, w.exhausted()
+						return p, w.exhausted()
 					}
 					if shift > 63 {
-						return nil, p, w.corrupt(p, "varint overflows 64 bits")
+						return p, w.corrupt(p, "varint overflows 64 bits")
 					}
 					b := d[p]
 					p++
@@ -500,10 +510,11 @@ func (w *ReplayWarp) decodeAddrs(d []byte, p int, mask uint32, buf []MemAccess) 
 			buf[i] = MemAccess{Lane: bits.TrailingZeros32(m), Addr: prev}
 			i++
 		}
+		st.Accesses = buf
 		w.prevAddr = prev
-		return buf, p, nil
+		return p, nil
 	}
-	return nil, p, w.corrupt(p-1, "unknown address mode %#x", mode)
+	return p, w.corrupt(p-1, "unknown address mode %#x", mode)
 }
 
 // expandStrided fills buf with the accesses of mask's lanes under a

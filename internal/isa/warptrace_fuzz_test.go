@@ -1,6 +1,7 @@
 package isa_test
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/isa"
@@ -35,7 +36,9 @@ func (e *recordExec) Launch(k *isa.Kernel, launch isa.Launch, mem *isa.Memory) e
 // benchmarks launch. The seeds are those kernels' recorded test-class
 // streams (each kernel's first recorded warp). Whatever the bytes, Exec
 // returns an error or a well-formed step, never panics, and consumes at
-// least one byte per step, so a walk ends within len(data) steps.
+// least one byte per step, so a walk ends within len(data) steps. A
+// well-formed memory step expands (Step.Lanes) to one access per active
+// lane, in the mask's lane order, whichever form it came back in.
 func FuzzReplayWarp(f *testing.F) {
 	var ks []*isa.Kernel
 	seen := make(map[*isa.Kernel]bool)
@@ -59,6 +62,7 @@ func FuzzReplayWarp(f *testing.F) {
 		cta := isa.MakeReplayCTA(lt, 0)
 		w := cta.Warps[0]
 		var st isa.Step
+		buf := make([]isa.MemAccess, isa.WarpSize)
 		for steps := 1; !w.Done(); steps++ {
 			if w.AtBarrier() {
 				w.ReleaseBarrier()
@@ -72,8 +76,18 @@ func FuzzReplayWarp(f *testing.F) {
 			if st.PC >= len(k.Instrs) || st.Instr != &k.Instrs[st.PC] {
 				t.Fatalf("step %d: PC %d, Instr %p", steps, st.PC, st.Instr)
 			}
-			if st.Instr.Op.Class() == isa.ClassMem && len(st.Accesses) != st.ActiveCount {
-				t.Fatalf("step %d: %d accesses for %d active lanes", steps, len(st.Accesses), st.ActiveCount)
+			if st.Instr.Op.Class() == isa.ClassMem {
+				acc := st.Lanes(buf)
+				if len(acc) != st.ActiveCount {
+					t.Fatalf("step %d: %d accesses for %d active lanes", steps, len(acc), st.ActiveCount)
+				}
+				m := st.ActiveMask
+				for _, a := range acc {
+					if lane := bits.TrailingZeros32(m); a.Lane != lane {
+						t.Fatalf("step %d: access for lane %d where the mask's next lane is %d", steps, a.Lane, lane)
+					}
+					m &= m - 1
+				}
 			}
 		}
 	})

@@ -52,7 +52,8 @@ func maskStep(k *Kernel, pc int, mask uint32, addrs []uint64) Step {
 // jumps), every address mode (a warp stride, a broadcast, a negative
 // stride, partial masks, a single lane, half-warp strides, and steps
 // that fit neither form), a barrier and the exit, then replays it and
-// asserts every reconstructed Step matches bit for bit. It also pins
+// asserts every reconstructed Step, its accesses expanded (Step.Lanes),
+// matches the recorded one bit for bit. It also pins
 // the bytes each step appends, so a step that silently falls back to
 // per-lane addresses fails even though it still replays.
 func TestWarpTraceRoundTrip(t *testing.T) {
@@ -178,7 +179,11 @@ func TestWarpTraceRoundTrip(t *testing.T) {
 			t.Fatalf("step %d: Instr points at PC %d, want %d", i, got.PC, want.PC)
 		}
 		got.Instr, want.Instr = nil, nil
-		// Normalize empty access slices for the comparison.
+		// Compare the expanded form: a stride record replays as a
+		// strided step, the recorder saw per-lane accesses. Normalize
+		// empty access slices too.
+		got.Accesses = got.Lanes(nil)
+		got.Strided, got.Base, got.Stride, got.HalfOff = false, 0, 0, 0
 		if len(got.Accesses) == 0 {
 			got.Accesses = nil
 		}
