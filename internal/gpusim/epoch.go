@@ -15,12 +15,13 @@ import (
 // log with its issue cycle. At the epoch boundary the coordinator merges
 // the logs and replays them in (cycle, SM index) order through the
 // caches, DRAM channels and sharing tracker, which is exactly the order
-// the sequential loop visits them, so results stay bit-identical with
-// one barrier crossing per epoch round. Within a cycle the sequential
-// order is exec(sm0), price(sm0), exec(sm1), …, and execution never
-// reads pricing state, so executing SMs concurrently and pricing
-// afterwards observes the same values everywhere; the per-worker stats
-// shards are commutative sums merged in worker order at the end.
+// the sequential loop prices them in, so results stay bit-identical with
+// one barrier crossing per epoch round. The sequential loop itself runs
+// each SM ahead of its clock on SM-local work and prices global steps in
+// that order, and execution never reads pricing state, so executing SMs
+// concurrently and pricing afterwards observes the same values
+// everywhere; the per-worker stats shards are commutative sums merged in
+// worker order at the end.
 //
 // Warps replay recorded streams on every launch, live or replayed: a
 // live kernel runs on its producer goroutine (feed.go), never on a
@@ -95,9 +96,8 @@ type epochSM struct {
 	slab  []uint64 // line storage backing queued evMem events
 
 	coal   coalescer // per-SM: ms.coal belongs to the serialized paths
-	step   issuedStep
-	parked int  // warps blocked awaiting coordinator pricing
-	held   bool // frozen at a full retire or fault until replayed
+	parked int       // warps blocked awaiting coordinator pricing
+	held   bool      // frozen at a full retire or fault until replayed
 }
 
 // runEpoch executes the launch with SMs sharded across workers (worker w
@@ -322,7 +322,7 @@ func (ls *launchState) advanceEpochSM(ep *epochSM, si int, tally []*Stats, targe
 			}
 			continue // pick recorded sm.skipUntil; next iteration jumps
 		}
-		if err := ls.execWarp(sm, w, tally, &ep.step, now); err != nil {
+		if err := ls.execWarp(sm, w, tally, &sm.step, now); err != nil {
 			ep.queue = append(ep.queue, epochEvent{kind: evFault, cycle: now, err: err})
 			ep.held = true
 			ep.now = now + 1
@@ -331,12 +331,12 @@ func (ls *launchState) advanceEpochSM(ep *epochSM, si int, tally []*Stats, targe
 		if lo != nil {
 			lo.busy[si]++
 		}
-		if ep.step.mem {
+		if sm.step.mem {
 			if bound := ls.logEpochMem(ep, si, w, now); bound != 0 && bound < limit {
 				limit = bound
 			}
 		} else {
-			ls.settleTiming(sm, &ep.step, now)
+			ls.settleTiming(sm, &sm.step, now)
 		}
 		if w.done && !w.retired {
 			if w.cta.live > 1 {
@@ -365,11 +365,11 @@ func (ls *launchState) advanceEpochSM(ep *epochSM, si int, tally []*Stats, targe
 // new park bound, or 0 if the warp did not park.
 func (ls *launchState) logEpochMem(ep *epochSM, si int, w *warpRT, now uint64) uint64 {
 	sm := ep.sm
-	st := &ep.step.st
+	st := &sm.step.st
 	space := st.Instr.Space
 	lines := ep.coal.lines(st, laneBaseOf(space))
 	store := isStoreOp(st.Instr.Op)
-	sm.issueFreeAt = now + ep.step.issue + uint64(len(lines)-1)
+	sm.issueFreeAt = now + sm.step.issue + uint64(len(lines)-1)
 	off := len(ep.slab)
 	ep.slab = append(ep.slab, lines...)
 	ep.queue = append(ep.queue, epochEvent{
@@ -401,10 +401,10 @@ func (ls *launchState) logEpochMem(ep *epochSM, si int, w *warpRT, now uint64) u
 
 // replayEpochEvents merges the per-SM logs and replays every event
 // strictly below the horizon in (cycle, SM index, log order) — the
-// sequential loop's visit order — through the caches, DRAM channels,
-// sharing tracker and dispatch cursors. Returns how many events it
-// replayed and whether the launch finished (last CTA retired, or — with
-// execErr set — a fault surfaced).
+// order the sequential loop prices them in — through the caches, DRAM
+// channels, sharing tracker and dispatch cursors. Returns how many
+// events it replayed and whether the launch finished (last CTA retired,
+// or — with execErr set — a fault surfaced).
 func (ls *launchState) replayEpochEvents(eps []*epochSM, horizon uint64, execErr *error) (processed int, finished bool) {
 	for {
 		// Linear scan of the queue heads: SM counts are small (≤ 30 here)

@@ -15,7 +15,7 @@ type warpRT struct {
 
 	// done and barrier cache w.Done() and w.AtBarrier(), and blocked is
 	// their disjunction with retired: the scheduler scans every warp on an
-	// SM at each visit, and the cached flags keep that hot loop down to
+	// SM at each pick, and the cached flags keep that hot loop down to
 	// one byte load with no interface dispatch. execWarp updates them from
 	// the Step; checkRelease clears barrier/blocked on release.
 	done    bool
@@ -57,7 +57,7 @@ type smRT struct {
 	// ready mirrors each warp's issue readiness — readyAt, or blockedAt
 	// for warps that cannot issue (barrier, done, retired) — indexed like
 	// warps. The scheduler and nextReady scan it instead of chasing
-	// warpRT pointers: the scheduler's scan runs at every visit of every
+	// warpRT pointers: the scheduler's scan runs at every pick of every
 	// SM and dominates the event loop's cache traffic. Every write to a
 	// warp's blocked/readyAt goes through syncReady.
 	ready []uint64
@@ -69,6 +69,16 @@ type smRT struct {
 	// readyAt) and is reset to 0 whenever a warp's readiness changes
 	// outside settleTiming: barrier release and CTA placement.
 	skipUntil uint64
+
+	// step is the SM's issued-step slot, the one both engines decode each
+	// issued instruction into (execWarp). On the sequential loop a step
+	// that needs launch-global state waits in it, parked, until the
+	// loop's clock reaches the cycle it issued at (run); fault likewise
+	// holds an undecodable stream until then, so the loop returns the
+	// fault it would meet first in (cycle, SM index) order.
+	step   issuedStep
+	parked bool
+	fault  error
 
 	// Per-SM resource accounting, so CTAs of different kernels can share
 	// an SM under concurrent execution.
@@ -106,7 +116,7 @@ func (sm *smRT) nextReady() uint64 {
 
 // wake is the first cycle the SM can issue at: its issue port must be
 // free, and no warp is ready before skipUntil. It is blockedAt when no
-// warp can issue until the SM's own visit changes that.
+// warp can issue until a step of the SM's own changes that.
 func (sm *smRT) wake() uint64 { return max(sm.issueFreeAt, sm.skipUntil) }
 
 // fits reports whether one more CTA of the spec fits on the SM.
@@ -153,9 +163,10 @@ func newTally(nspecs int) []*Stats {
 	return t
 }
 
-// issuedStep is one warp instruction issued during a cycle, carrying the
-// timing charge decided so far. mem marks steps that still need pricing
-// by the shared memory system (priceShared) before settling.
+// issuedStep is one warp instruction an SM issued, carrying the timing
+// charge decided so far; each SM keeps one (smRT.step). mem marks steps
+// that still need pricing by the shared memory system (priceShared)
+// before settling.
 type issuedStep struct {
 	w     *warpRT
 	st    isa.Step
@@ -241,16 +252,22 @@ func (ls *launchState) fill(sm *smRT, now uint64) error {
 	}
 }
 
-// run is the sequential event loop. An SM is visited only on a cycle it
-// can issue at: when a visit ends, the SM is filed in a wake wheel under
-// its wake (smRT.wake), and the clock jumps from one filed cycle to the
-// next. Within a cycle the filed SMs are visited in SM index order, each
-// issuing at most one warp instruction, so the schedule is the one a
-// scan of every SM on every cycle would give. Filing when a visit ends
-// is exact: an SM's wake changes only on its own visits, because barrier
-// release and refill touch only the SM being visited.
+// run is the sequential event loop. Its clock stops only at global
+// events: an SM runs ahead on its own state (runAhead) until it picks a
+// step that needs launch-global state — a memory space priced by the
+// caches, the DRAM channels and the sharing tracker, or the exit that
+// completes a CTA and refills the SM from the dispatch cursors — parks
+// that step in its issued-step slot (smRT.step) and is filed in a wake
+// wheel under the step's cycle. The clock jumps from one filed cycle to
+// the next and visits that cycle's SMs in SM index order; a visit settles
+// the SM's parked step and runs it ahead again. So global steps are
+// priced in (cycle, SM index) order, the order a scan of every SM on
+// every cycle would price them in. Running ahead is exact because an
+// SM's state changes only through its own steps (barrier release and
+// refill touch only the SM they happen on), so it picks at exactly the
+// cycles, and the same warps, as that scan, and filing when a visit ends
+// is exact for the same reason.
 func (ls *launchState) run() error {
-	var step issuedStep
 	lo := ls.lo
 	wh := newWakeWheel(len(ls.sms))
 	for si := range ls.sms {
@@ -271,17 +288,20 @@ func (ls *launchState) run() error {
 			for ; word != 0; word &= word - 1 {
 				si := wi<<6 + bits.TrailingZeros64(word)
 				sm := ls.sms[si]
-				if lo != nil {
-					lo.idle(si, now, sm.issueFreeAt)
+				if sm.fault != nil {
+					return sm.fault
 				}
-				issued, err := ls.execOne(sm, &step, now)
+				if sm.parked {
+					sm.parked = false
+					if err := ls.settle(sm, now); err != nil {
+						return err
+					}
+				}
+				wake, err := ls.runAhead(sm, si, now)
 				if err != nil {
 					return err
 				}
-				if lo != nil {
-					lo.visited(si, now, issued)
-				}
-				wh.file(si, sm.wake(), now)
+				wh.file(si, wake, now)
 			}
 		}
 		ls.now = now + 1
@@ -304,29 +324,67 @@ func (ls *launchState) deadlock() error {
 		ls.specs[0].k.Name, ls.now, ls.pending)
 }
 
-// execOne is one SM's visit on the sequential loop, its only caller, at
-// cycle now, when the SM's issue port is free. It asks the scheduler for
-// a warp and, when one can issue, replays its next instruction, prices
-// it through the memory system, settles its timing and retires the warp
-// if it finished. It reports whether a warp issued.
-func (ls *launchState) execOne(sm *smRT, step *issuedStep, now uint64) (bool, error) {
-	w := ls.g.sched.pick(sm, now)
-	if w == nil {
-		return false, nil // pick recorded sm.skipUntil
+// runAhead is the sequential loop's visit of SM si at cycle now, after
+// the SM's parked step, if any, has settled. From the SM's wake on it
+// picks and issues at each cycle its port and warps allow, settling every
+// step that touches only the SM: ALU, SFU and control, parameter and
+// shared memory, barriers, and a warp exit that leaves its CTA live. It
+// stops at a step that needs launch-global state and returns that step's
+// cycle for the loop to file the SM under, with the step parked in
+// sm.step, or settled at once when its cycle is now (only the first pick
+// of a visit can be). An undecodable stream parks as sm.fault the same
+// way. An SM left with no warps stops at its wake too, so its empty scan
+// is tallied only if the launch is still running then; an SM no warp of
+// which can issue returns blockedAt and is not filed.
+func (ls *launchState) runAhead(sm *smRT, si int, now uint64) (uint64, error) {
+	lo := ls.lo
+	step := &sm.step
+	for {
+		t := sm.wake()
+		if t != now && (t == blockedAt || len(sm.warps) == 0) {
+			return t, nil
+		}
+		if lo != nil {
+			lo.idle(si, t, sm.issueFreeAt)
+		}
+		w := ls.g.sched.pick(sm, t)
+		if lo != nil {
+			lo.visited(si, t, w != nil)
+		}
+		if w == nil {
+			continue // pick recorded sm.skipUntil
+		}
+		if err := ls.execWarp(sm, w, ls.tally, step, t); err != nil {
+			if t == now {
+				return 0, err
+			}
+			sm.fault = err
+			return t, nil
+		}
+		if t != now && (step.mem || w.done && w.cta.live == 1) {
+			sm.parked = true
+			return t, nil
+		}
+		if err := ls.settle(sm, t); err != nil {
+			return 0, err
+		}
 	}
-	if err := ls.execWarp(sm, w, ls.tally, step, now); err != nil {
-		return false, err
-	}
+}
+
+// settle completes SM sm's issued step at cycle now, the cycle it issued
+// at: it prices a memory step through the memory system, applies the
+// step's charges and retires the warp if it finished. Only a refill can
+// fail (fill).
+func (ls *launchState) settle(sm *smRT, now uint64) error {
+	step := &sm.step
 	if step.mem {
 		ls.priceShared(sm, step, now)
 	}
 	ls.settleTiming(sm, step, now)
-	if w.done && !w.retired {
-		if err := ls.retire(sm, w, now); err != nil {
-			return false, err
-		}
+	if w := step.w; w.done && !w.retired {
+		return ls.retire(sm, w, now)
 	}
-	return true, nil
+	return nil
 }
 
 // execWarp decodes w's next recorded instruction and settles every
@@ -334,10 +392,11 @@ func (ls *launchState) execOne(sm *smRT, step *issuedStep, now uint64) (bool, er
 // pricing, barrier arrival, and the SM-private memory spaces (parameter,
 // shared). A memory instruction that routes through the launch-global
 // memory system comes back with mem=true, for the caller to price via
-// priceShared. execOne calls it after the scheduler's pick; the epoch
-// path calls it directly after its own pick, concurrently for SMs on
-// different shards, each shard with its own tally; now is then the SM's
-// local clock. Its only error is a stream that cannot be decoded.
+// priceShared. Both engines call it after their scheduler's pick, with
+// out the SM's issued-step slot and now the pick's cycle: the sequential
+// loop's runAhead ahead of its global clock, the epoch engine
+// concurrently for SMs on different shards, each shard with its own
+// tally. Its only error is a stream that cannot be decoded.
 func (ls *launchState) execWarp(sm *smRT, w *warpRT, tally []*Stats, out *issuedStep, now uint64) error {
 	st := &out.st
 	if err := w.w.Exec(nil, st); err != nil {

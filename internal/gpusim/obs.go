@@ -28,9 +28,11 @@ type launchObs struct {
 	// Per-SM, indexed by SM number. Written only by the SM's owning
 	// goroutine (sequential loop or the epoch worker that shards it). On
 	// the sequential loop the four partition the launch's cycles: an SM
-	// is busy or stalled at the scheduler on each cycle it is visited,
-	// and between visits it waits on its issue port, then on skipUntil;
-	// the final DRAM drain counts as skip.
+	// is busy or stalled at the scheduler on each cycle it picks at, and
+	// between picks it waits on its issue port, then on skipUntil; the
+	// final DRAM drain counts as skip. The loop tallies each pick at its
+	// own cycle as the SM runs ahead of the clock (runAhead), so the
+	// tallies are those of a scan of every SM on every cycle.
 	busy      []uint64 // cycles the SM issued a warp instruction
 	stallPort []uint64 // cycles lost to issue-port back-pressure (issueFreeAt)
 	stallSkip []uint64 // cycles skipped via the scheduler's skipUntil bound
@@ -49,7 +51,7 @@ type launchObs struct {
 	barrierWaitNs []uint64
 
 	// Coordinator-only (epoch replay / sequential loop).
-	skipAhead        uint64 // cycles the clock jumped over, no SM visited
+	skipAhead        uint64 // cycles the clock jumped over (SetObs)
 	dramBacklog      uint64 // summed channel backlog at enqueue, in cycles
 	dramMaxBacklog   uint64 // worst single-channel backlog observed
 	dramAccesses     uint64 // line transactions enqueued
@@ -77,9 +79,9 @@ func newLaunchObs(numSMs int, c *gpuCounters) *launchObs {
 }
 
 // idle tallies the cycles from SM si's last tally up to cycle to, on
-// which the sequential loop did not visit it: port stalls while its
-// issue port stayed busy, skips after. The SM's state does not change
-// between its visits, so issueFreeAt is the one its last visit left.
+// which the SM did not pick: port stalls while its issue port stayed
+// busy, skips after. The SM's state does not change between its picks,
+// so issueFreeAt is the one its last step settled.
 func (lo *launchObs) idle(si int, to, issueFreeAt uint64) {
 	from := lo.tallied[si]
 	if port := min(issueFreeAt, to); port > from {
@@ -90,7 +92,8 @@ func (lo *launchObs) idle(si int, to, issueFreeAt uint64) {
 	lo.tallied[si] = to
 }
 
-// visited tallies the sequential loop's visit of SM si at cycle now.
+// visited tallies SM si's pick at cycle now on the sequential loop: an
+// issue, or an empty scheduler scan.
 func (lo *launchObs) visited(si int, now uint64, issued bool) {
 	if issued {
 		lo.busy[si]++
@@ -171,8 +174,13 @@ func newGPUCounters(r *obs.Registry, numSMs int) *gpuCounters {
 //     gpusim.sm.{port,skip,sched}_cycles{sm=N}; on the sequential loop
 //     busy, port, skip and sched partition the SM's cycles (launchObs);
 //   - the stall totals over SMs, gpusim.stall.{port,skip,sched}_cycles;
-//   - gpusim.clock.skipped_cycles, the cycles the clock jumped over
-//     without visiting any SM (the final DRAM drain aside);
+//   - gpusim.clock.skipped_cycles, the cycles the sequential loop's clock
+//     jumps over between the global events it stops at (run: a parked
+//     memory or CTA-completing step, or an SM's first or emptied visit;
+//     the final DRAM drain aside), and the cycles an idle epoch round
+//     jumps its target over. SMs pick on many of those cycles while
+//     they run ahead of the clock, so it does not count cycles on which
+//     no SM picked;
 //   - DRAM channel backlog and accesses (gpusim.dram.*);
 //   - sampled per-worker shard-barrier wait (gpusim.barrier.wait_ns
 //     summed, raw samples in the gpusim.barrier.wait_sample_ns

@@ -2,8 +2,10 @@ package gpusim
 
 // warpScheduler selects which warp an SM issues next. Implementations
 // may keep per-SM cursor state on the smRT they are handed, but must not
-// touch state belonging to other SMs: the parallel launch path calls
-// pick concurrently for SMs on different shards.
+// touch state belonging to other SMs or to the launch: the sequential
+// loop calls pick for an SM at cycles ahead of its clock (runAhead), and
+// the parallel launch path calls it concurrently for SMs on different
+// shards.
 type warpScheduler interface {
 	// pick returns a warp on sm that can issue at cycle now. When no warp
 	// can, it returns nil and must record sm.skipUntil — the earliest
@@ -23,8 +25,9 @@ var _ warpScheduler = looseRoundRobin{}
 
 func (looseRoundRobin) pick(sm *smRT, now uint64) *warpRT {
 	// Scan the SM's flat readiness array rather than the warp structs:
-	// this loop runs at every visit of every SM, and blocked warps are
-	// already folded into the array as an unreachable cycle.
+	// this loop runs for every issue and every empty scan of every SM,
+	// and blocked warps are already folded into the array as an
+	// unreachable cycle.
 	ready := sm.ready
 	n := len(ready)
 	if n == 0 {

@@ -9,13 +9,15 @@ import "math/bits"
 const wheelSlots = 1024
 
 // wakeWheel is the sequential loop's schedule: each SM is filed under
-// its wake, the first cycle it can do anything (smRT.wake), and the loop
-// visits only the SMs filed under the cycle it is at. Slot c mod
-// wheelSlots holds the SMs waking at cycle c, as a bitset drained in SM
-// index order, for cycles in a window of wheelSlots cycles from the
-// clock; wakes beyond the window wait in the far set until the clock
-// comes near. An SM none of whose warps can ever issue (wake blockedAt)
-// is not filed at all: only a visit of its own could change that.
+// the next cycle the loop must visit it at — the cycle of the global
+// step it parked (run), or its wake (smRT.wake) on its first visit and
+// once it has no warps — and the loop visits only the SMs filed under
+// the cycle it is at. Slot c mod wheelSlots holds the SMs waking at
+// cycle c, as a bitset drained in SM index order, for cycles in a window
+// of wheelSlots cycles from the clock; wakes beyond the window wait in
+// the far set until the clock comes near. An SM none of whose warps can
+// ever issue (wake blockedAt) is not filed at all: only a step of its
+// own could change that.
 type wakeWheel struct {
 	words int                     // bitset words per slot: ⌈NumSMs/64⌉
 	slots []uint64                // wheelSlots bitsets of SMs
