@@ -68,6 +68,9 @@ func main() {
 	if err := serial.Launch(fma, launch, fmaMem); err != nil {
 		log.Fatal(err)
 	}
+	if err := serial.Wait(); err != nil {
+		log.Fatal(err)
+	}
 
 	// Concurrent run (fresh memory for the chase).
 	chase2, chaseMem2 := chaseKernel()
@@ -80,6 +83,9 @@ func main() {
 		{Kernel: chase2, Launch: launch, Mem: chaseMem2},
 		{Kernel: fma2, Launch: launch, Mem: fmaMem2},
 	}); err != nil {
+		log.Fatal(err)
+	}
+	if err := conc.Wait(); err != nil {
 		log.Fatal(err)
 	}
 

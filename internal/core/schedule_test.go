@@ -67,6 +67,8 @@ func (e *scheduleExec) Launch(k *isa.Kernel, launch isa.Launch, mem *isa.Memory)
 	return nil
 }
 
+func (e *scheduleExec) Wait() error { return nil }
+
 // runCTA runs the CTA to completion under the schedule, recording each
 // warp's steps into its recorder.
 func (e *scheduleExec) runCTA(cta *isa.CTA, recs []isa.WarpRecorder) error {
@@ -193,7 +195,10 @@ func TestScheduleInvarianceCatchesCrossCTARead(t *testing.T) {
 	err := checkScheduleInvariance(func(ex isa.Executor) error {
 		mem := isa.NewMemory()
 		mem.SetParamI(0, int64(mem.AllocGlobal(4)))
-		return ex.Launch(k, isa.Launch{Grid: 2, Block: 32}, mem)
+		if err := ex.Launch(k, isa.Launch{Grid: 2, Block: 32}, mem); err != nil {
+			return err
+		}
+		return ex.Wait()
 	})
 	if err == nil || !strings.Contains(err.Error(), "reversed schedule") {
 		t.Fatalf("oracle accepted a kernel whose CTA 1 reads CTA 0's store: %v", err)

@@ -25,7 +25,8 @@ import (
 // or replay through a fresh store-backed experiments.Context that finds
 // only that trace on disk. Every leg must reproduce the sequential live
 // oracle for its (benchmark, size, configuration) deeply equal — the
-// contract every paper figure depends on. Each test below runs one row
+// contract every paper figure depends on — and hold the identities
+// gpusim.Stats.Check states. Each test below runs one row
 // of the table over all twelve benchmarks; oracles and captures are
 // computed once per test binary and shared by every leg of every row.
 // Under -race in CI the sharded legs also prove the epoch engine
@@ -175,6 +176,9 @@ func runMatrix(t *testing.T) {
 				}
 				if err != nil {
 					t.Fatalf("%s: %v", l, err)
+				}
+				if err := got.Check(cfg); err != nil {
+					t.Errorf("%s: %v", l, err)
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: stats diverge from sequential live execution\n got: %+v\nwant: %+v", l, got, want)

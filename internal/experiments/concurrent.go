@@ -29,6 +29,8 @@ func (c *captureExec) Launch(k *isa.Kernel, launch isa.Launch, mem *isa.Memory) 
 	return nil
 }
 
+func (c *captureExec) Wait() error { return nil }
+
 var expConcurrent = &Experiment{
 	ID:    "conc",
 	Title: "Future work: simultaneous kernel execution",
@@ -75,6 +77,9 @@ var expConcurrent = &Experiment{
 			return nil, err
 		}
 		if err := g.LaunchConcurrent(cap.specs); err != nil {
+			return nil, err
+		}
+		if err := g.Wait(); err != nil {
 			return nil, err
 		}
 		concCycles := g.Stats.Cycles

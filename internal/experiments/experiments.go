@@ -242,7 +242,7 @@ func (c *Context) run(b *kernels.Benchmark, size sizes.Class, cfg gpusim.Config)
 // configuration that triggered it, and every caller that waited on it
 // replays the trace. A capture that cannot replay — only a multi-kernel
 // gpusim.GPU.LaunchConcurrent makes one, and benchmarks launch through
-// isa.Executor, which has only Launch — is an error for every
+// isa.Executor, whose Launch takes one kernel — is an error for every
 // configuration that would replay it.
 func (c *Context) characterize(b *kernels.Benchmark, size sizes.Class, cfg gpusim.Config) (*gpusim.Stats, error) {
 	if !c.Replay {

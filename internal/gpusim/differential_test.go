@@ -152,6 +152,9 @@ func runBoth(t *testing.T, k *isa.Kernel, seed uint64) ([]int64, []int64) {
 	if err := g.Launch(k, isa.Launch{Grid: 4, Block: 96}, memT); err != nil {
 		t.Fatalf("timing: %v", err)
 	}
+	if err := g.Wait(); err != nil {
+		t.Fatalf("timing: %v", err)
+	}
 
 	read := func(mem *isa.Memory, out uint64) []int64 {
 		vals := make([]int64, 4*96)

@@ -429,7 +429,7 @@ func (ls *launchState) replayEpochEvents(eps []*epochSM, horizon uint64, execErr
 		switch ev.kind {
 		case evMem:
 			lat := ls.ms.priceLines(ev.cycle, sm.caches, ev.cta, ev.space, ev.store,
-				ep.slab[ev.off:ev.end], ls.g.Stats)
+				ep.slab[ev.off:ev.end], &ls.shared)
 			if w := ev.w; ev.parked {
 				w.parked = false
 				w.blocked = w.done || w.retired || w.barrier

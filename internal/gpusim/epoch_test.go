@@ -73,6 +73,7 @@ func TestEpochBenignCrossCTAWrites(t *testing.T) {
 		if err := g.Launch(benignWriteKernel(), isa.Launch{Grid: grid, Block: block}, mem); err != nil {
 			t.Fatal(err)
 		}
+		wait(t, g)
 		vals := make([]int32, 0, grid*block+1)
 		for i := 0; i < grid*block; i++ {
 			vals = append(vals, mem.ReadI32(isa.SpaceGlobal, out+uint64(i*4)))
@@ -211,6 +212,9 @@ func TestEpochFaultSurfaces(t *testing.T) {
 	err = g.Launch(k, isa.Launch{Grid: 4, Block: 64}, isa.NewMemory())
 	if err == nil || !strings.Contains(err.Error(), "exceeds arena") {
 		t.Fatalf("out-of-bounds store on the epoch path: Launch returned %v", err)
+	}
+	if err := g.Wait(); err == nil || !strings.Contains(err.Error(), "exceeds arena") {
+		t.Fatalf("out-of-bounds store on the epoch path: Wait returned %v", err)
 	}
 }
 

@@ -3,10 +3,12 @@ package gpusim
 import (
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/isa"
+	"repro/internal/obs"
 )
 
 // engines are the two event loops every failure test runs on.
@@ -68,6 +70,7 @@ func TestLaunchFaultAtLaterCTA(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "exceeds arena") || !strings.Contains(err.Error(), "faultat") {
 				t.Fatalf("%s, fault at CTA %d: Launch returned %v, want the out-of-bounds store", e.name, k, err)
 			}
+			g.Wait()
 			if err := tb.Trace().Replayable(); err == nil || !strings.Contains(err.Error(), "launch failed") {
 				t.Fatalf("%s, fault at CTA %d: capture not invalidated: %v", e.name, k, err)
 			}
@@ -95,6 +98,7 @@ func TestProducerPanicBecomesError(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "panicked") {
 			t.Fatalf("%s: Launch returned %v, want the producer's panic", e.name, err)
 		}
+		g.Wait()
 		waitGoroutines(t, base)
 	}
 }
@@ -120,7 +124,10 @@ func TestEpochPanicBecomesError(t *testing.T) {
 	runs := map[string]func(*GPU) error{
 		"launch": func(g *GPU) error {
 			mem, _ := setupVecAdd(n)
-			return g.Launch(vecAddKernel(), isa.Launch{Grid: n / 256, Block: 256}, mem)
+			if err := g.Launch(vecAddKernel(), isa.Launch{Grid: n / 256, Block: 256}, mem); err != nil {
+				return err
+			}
+			return g.Wait()
 		},
 		"replay": func(g *GPU) error { return g.Replay(rt) },
 	}
@@ -162,4 +169,166 @@ func TestReplayTruncatedStream(t *testing.T) {
 		}
 		waitGoroutines(t, base)
 	}
+}
+
+// gateScheduler issues as looseRoundRobin does once open is closed; until
+// then every pick blocks, which holds a launch's timing pending.
+type gateScheduler struct{ open chan struct{} }
+
+func (s gateScheduler) pick(sm *smRT, now uint64) *warpRT {
+	<-s.open
+	return looseRoundRobin{}.pick(sm, now)
+}
+
+// loadThenFaultAt loads one global word in every CTA and then stores out
+// of bounds from CTA k only, so a launch's timing prices global loads
+// before it reaches the fault.
+func loadThenFaultAt(k int64) *isa.Kernel {
+	b := isa.NewBuilder()
+	cta, addr, v := b.I(), b.I(), b.I()
+	p := b.P()
+	b.LdParamI(addr, 0)
+	b.Ld(v, isa.I32, isa.SpaceGlobal, addr, 0)
+	b.Rd(cta, isa.SpecCta)
+	b.SetpII(p, isa.CmpEQ, cta, k)
+	b.If(p, func() {
+		b.MovI(addr, 1<<40)
+		b.St(isa.I32, isa.SpaceGlobal, addr, 0, v)
+	}, nil)
+	return b.Build("loadfault")
+}
+
+// launchVecAdd launches a fresh 4096-element vector add on g.
+func launchVecAdd(g *GPU) error {
+	const n = 4096
+	mem, _ := setupVecAdd(n)
+	return g.Launch(vecAddKernel(), isa.Launch{Grid: n / 256, Block: 256}, mem)
+}
+
+// TestTimingPanicComesBackFromWait panics in the sequential loop, which
+// runs on a launch's timing goroutine, in a live two-launch run. Wait
+// must return the panic as an error, so must the next Launch, which now
+// knows it, and no goroutine may be left behind.
+func TestTimingPanicComesBackFromWait(t *testing.T) {
+	const want = "panicked: scheduler fault"
+	base := runtime.NumGoroutine()
+	g, err := New(engineConfig(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.sched = panicScheduler{on: g.sms[0]}
+	for i := 1; i <= 2; i++ {
+		// The panic may already be known when a launch's producer ends.
+		if err := launchVecAdd(g); err != nil && !strings.Contains(err.Error(), want) {
+			t.Fatalf("launch %d returned %v", i, err)
+		}
+	}
+	if err := g.Wait(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Wait returned %v, want the scheduler's panic", err)
+	}
+	if err := launchVecAdd(g); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("the launch after the panic returned %v, want the scheduler's panic", err)
+	}
+	waitGoroutines(t, base)
+}
+
+// TestProducerFaultBehindPendingTiming faults in launch 2's producer
+// while launch 1's timing is held pending. Launch 2 must return the
+// fault, count as overlapped, and leave Stats equal to launch 1's alone
+// once the held timing ends, on both engines.
+func TestProducerFaultBehindPendingTiming(t *testing.T) {
+	for _, e := range engines {
+		base := runtime.NumGoroutine()
+		alone, err := New(engineConfig(e.workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := launchVecAdd(alone); err != nil {
+			t.Fatal(err)
+		}
+		wait(t, alone)
+
+		g, err := New(engineConfig(e.workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := obs.New()
+		g.SetObs(r)
+		open := make(chan struct{})
+		release := sync.OnceFunc(func() { close(open) })
+		defer release() // a failed check must not leave the timing held
+		g.sched = gateScheduler{open}
+		if err := launchVecAdd(g); err != nil {
+			t.Fatalf("%s: launch 1: %v", e.name, err)
+		}
+		// CTA 100 lies past the initial fill, so launch 2's timing runs
+		// CTAs, and prices their loads, before it reaches the fault.
+		mem := isa.NewMemory()
+		mem.SetParamI(0, int64(mem.AllocGlobal(4)))
+		err = g.Launch(loadThenFaultAt(100), isa.Launch{Grid: 128, Block: 64}, mem)
+		if err == nil || !strings.Contains(err.Error(), "exceeds arena") {
+			t.Fatalf("%s: launch 2 returned %v, want its producer's fault", e.name, err)
+		}
+		if n := r.Counters()["gpusim.launch.overlapped"]; n != 1 {
+			t.Fatalf("%s: gpusim.launch.overlapped = %d, want 1", e.name, n)
+		}
+		release()
+		if err := g.Wait(); err == nil || !strings.Contains(err.Error(), "exceeds arena") {
+			t.Fatalf("%s: Wait returned %v, want launch 2's fault", e.name, err)
+		}
+		if got, want := statsJSON(t, g.Stats), statsJSON(t, alone.Stats); got != want {
+			t.Fatalf("%s: Stats after the failed launch 2\n got: %s\nwant launch 1 alone: %s", e.name, got, want)
+		}
+		waitGoroutines(t, base)
+	}
+}
+
+// TestPipelineDepthBoundsRecordings holds launch 1's timing pending
+// while six launches are issued. Launch 2's producer may run behind it,
+// but launch 3 must wait for room, so while the timing is held exactly
+// pipelineDepth launches count as overlapped: no more than
+// pipelineDepth+1 launches' recordings are ever alive.
+func TestPipelineDepthBoundsRecordings(t *testing.T) {
+	base := runtime.NumGoroutine()
+	g, err := New(engineConfig(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := obs.New()
+	g.SetObs(r)
+	open := make(chan struct{})
+	release := sync.OnceFunc(func() { close(open) })
+	defer release() // a failed check must not leave the timing held
+	g.sched = gateScheduler{open}
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 6; i++ {
+			if err := launchVecAdd(g); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- g.Wait()
+	}()
+	overlapped := func() uint64 { return r.Counters()["gpusim.launch.overlapped"] }
+	deadline := time.Now().Add(5 * time.Second)
+	for overlapped() < pipelineDepth {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d launches overlapped the held timing, want %d", overlapped(), pipelineDepth)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Give a launch that ignored the bound time to get past the room.
+	time.Sleep(50 * time.Millisecond)
+	if n := overlapped(); n != pipelineDepth {
+		t.Fatalf("%d launches overlapped the held timing, want %d", n, pipelineDepth)
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if g.Stats.Launches != 6 {
+		t.Fatalf("Stats hold %d launches, want 6", g.Stats.Launches)
+	}
+	waitGoroutines(t, base)
 }

@@ -3,6 +3,7 @@ package gpusim
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/isa"
 )
@@ -11,10 +12,12 @@ import (
 // kernel under the timing model and accumulates into Stats. Per-SM caches,
 // the L2 and the sharing tracker persist across launches, as on hardware.
 //
-// A launch runs functional-first: each kernel executes on a producer
-// goroutine that records its warps' streams CTA by CTA (feed.go), and the
-// timing loop replays those streams as they arrive, exactly as it
-// replays a stored trace (trace.go). The timing core is assembled from
+// A launch runs functional-first and asynchronously: each kernel executes
+// on a producer goroutine that records its warps' streams CTA by CTA, and
+// Launch returns once it has, while the launch's timing replays those
+// streams on a goroutine chained behind the previous launch's timing
+// (feed.go), exactly as a stored trace is replayed (trace.go). Stats are
+// complete once Wait returns. The timing core is assembled from
 // pluggable components, each in its own file: a warp scheduler
 // (scheduler.go), a memory subsystem — coalescer, bank-conflict model,
 // cache hierarchy — (memsys.go), and a DRAM-channel model (dram.go).
@@ -24,13 +27,18 @@ import (
 // epoch-parallel engine, whose results are bit-identical to the
 // sequential loop's (epoch.go).
 type GPU struct {
-	cfg   Config
+	cfg Config
+	// Stats accumulates every launch's statistics. The timing side writes
+	// it, so read it after Wait.
 	Stats *Stats
 
 	sched   warpScheduler
 	sms     []*smCaches
 	l2      *cache
 	sharing *sharingTracker
+
+	// pipe orders the launches' timings (feed.go).
+	pipe pipeline
 
 	// capture, when non-nil, records the functional half of every launch
 	// into a RunTrace for later replay (trace.go).
@@ -73,6 +81,7 @@ func New(cfg Config) (*GPU, error) {
 		sched:   looseRoundRobin{},
 		l2:      newCache(cfg.L2CacheKB, 8, cfg.LineSize),
 		sharing: newSharingTracker(cfg.LineSize),
+		pipe:    newPipeline(),
 	}
 	g.Stats.PeakBytesPerCycle = cfg.dramBytesPerCoreCycle() * float64(cfg.MemChannels)
 	for i := 0; i < cfg.NumSMs; i++ {
@@ -94,7 +103,8 @@ func (g *GPU) CTAsPerSM(k *isa.Kernel, block int) int {
 	return g.cfg.CTAsPerSM(k, block)
 }
 
-// Launch runs the kernel to completion under the timing model.
+// Launch runs the kernel under the timing model. Like LaunchConcurrent,
+// it returns once the kernel has executed; Wait ends its timing.
 func (g *GPU) Launch(k *isa.Kernel, launch isa.Launch, mem *isa.Memory) error {
 	return g.LaunchConcurrent([]LaunchSpec{{Kernel: k, Launch: launch, Mem: mem}})
 }
@@ -105,15 +115,21 @@ func (g *GPU) Launch(k *isa.Kernel, launch isa.Launch, mem *isa.Memory) error {
 // under the per-SM thread/register/shared-memory budgets, so kernels with
 // complementary resource appetites overlap.
 //
-// Each kernel executes functionally on a producer goroutine ahead of the
-// timing loop (feed.go); kernels that share a Memory share one producer
-// and run in spec order. LaunchConcurrent returns once the timing loop
-// and every producer have finished, so the caller may read device memory
-// and Stats right away. A fault or panic in a kernel is returned as an
-// error.
+// Each kernel executes functionally on a producer goroutine (feed.go);
+// kernels that share a Memory share one producer and run in spec order.
+// LaunchConcurrent returns once every producer has exited, so the caller
+// may read device memory right away, and a fault or panic in a kernel is
+// returned by this call. The launch's timing runs on a goroutine of its
+// own once the previous launch's timing has ended, so it may still be
+// running: Stats, an attached capture and the telemetry are complete
+// only after Wait. A failure of a launch's timing is returned by Wait,
+// and by every later launch once it is known.
 func (g *GPU) LaunchConcurrent(specs []LaunchSpec) error {
 	if len(specs) == 0 {
 		return fmt.Errorf("gpusim: no kernels to launch")
+	}
+	if err := g.pipe.failure(); err != nil {
+		return err
 	}
 	rss := make([]*runSpec, len(specs))
 	for i, spec := range specs {
@@ -123,6 +139,9 @@ func (g *GPU) LaunchConcurrent(specs []LaunchSpec) error {
 			rec, err = isa.NewLaunchRecorder(spec.Kernel, spec.Launch)
 		}
 		if err != nil {
+			// The capture is the timing side's until its launches end; a
+			// failure among them stays for the next Launch or Wait.
+			_ = g.Wait()
 			g.failCapture(err)
 			return err
 		}
@@ -131,15 +150,24 @@ func (g *GPU) LaunchConcurrent(specs []LaunchSpec) error {
 			trace: rec.Trace(), feed: newCTAFeed(rec, spec.Launch.Grid),
 		}
 	}
-	if g.capture != nil && len(specs) > 1 {
-		// Replay runs one kernel per launch.
-		g.capture.invalidate(fmt.Sprintf("concurrent launch of %d kernels", len(specs)))
+	g.pipe.room <- struct{}{} // wait for the oldest pending timing to end
+	prev, done := g.pipe.last, make(chan struct{})
+	g.pipe.last = done
+	if g.obsC != nil && prev != nil {
+		select {
+		case <-prev:
+		default:
+			g.obsC.overlapped.Inc()
+		}
 	}
+	var producers sync.WaitGroup
 	for i := range specs {
 		if slices.ContainsFunc(specs[:i], func(o LaunchSpec) bool { return o.Mem == specs[i].Mem }) {
 			continue // an earlier spec's producer runs this kernel
 		}
+		producers.Add(1)
 		go func() {
+			defer producers.Done()
 			for j := i; j < len(specs); j++ {
 				if specs[j].Mem == specs[i].Mem {
 					rss[j].feed.produce(specs[j], g.refInterp)
@@ -147,23 +175,73 @@ func (g *GPU) LaunchConcurrent(specs []LaunchSpec) error {
 			}
 		}()
 	}
+	go g.time(rss, prev, done)
+	producers.Wait()
+	for _, sp := range rss {
+		if sp.feed.err != nil {
+			return sp.feed.err
+		}
+	}
+	return g.pipe.failure()
+}
+
+// time is a launch's timing side. Once the previous launch's timing has
+// ended (prev), it runs the event loop over the recorded CTAs as the
+// producers publish them, unless an earlier launch's timing failed; then
+// it stops the producers, keeps or drops the recording, and closes done.
+// It alone writes Stats, the capture and the telemetry for the launch.
+func (g *GPU) time(rss []*runSpec, prev, done chan struct{}) {
+	if prev != nil {
+		<-prev
+	}
+	err := g.pipe.failure()
+	if err == nil {
+		if err = g.timeLaunch(rss); err != nil {
+			// Recorded before the producers stop, so Launch learns why.
+			g.pipe.fail(err)
+		}
+	}
+	for _, sp := range rss {
+		sp.feed.finish()
+	}
+	switch {
+	case g.capture == nil:
+	case err != nil:
+		g.failCapture(err)
+	case len(rss) > 1:
+		// Replay runs one kernel per launch.
+		g.capture.invalidate(fmt.Sprintf("concurrent launch of %d kernels", len(rss)))
+	default:
+		g.capture.add(rss[0].feed.rec.Finalize())
+	}
+	for _, sp := range rss {
+		sp.feed.rec.Release()
+	}
+	<-g.pipe.room
+	close(done)
+}
+
+// timeLaunch runs a live launch's event loop and returns a panic in it
+// as an error: nothing else on the timing goroutine would recover it.
+func (g *GPU) timeLaunch(rss []*runSpec) (err error) {
 	defer func() {
-		// However the launch ends, its producers end with it.
-		for _, sp := range rss {
-			sp.feed.finish()
-			sp.feed.rec.Release()
+		if p := recover(); p != nil {
+			err = fmt.Errorf("gpusim: timing of kernel %s panicked: %v", rss[0].k.Name, p)
 		}
 	}()
-	if err := g.runLaunch(rss); err != nil {
-		g.failCapture(err)
-		return err
+	return g.runLaunch(rss)
+}
+
+// Wait blocks until the timing of every launch so far has ended, so
+// Stats, an attached capture and the telemetry are complete, and returns
+// the first failure of any launch's timing, a kernel fault that launch's
+// Launch already returned included. Calling Wait after every Launch
+// gives the synchronous order; isa.Executor documents the contract.
+func (g *GPU) Wait() error {
+	if g.pipe.last != nil {
+		<-g.pipe.last
 	}
-	if g.capture != nil && len(specs) == 1 {
-		f := rss[0].feed
-		f.finish()
-		g.capture.add(f.rec.Finalize())
-	}
-	return nil
+	return g.pipe.failure()
 }
 
 // failCapture invalidates an attached capture after a failed launch.
@@ -232,6 +310,7 @@ func (g *GPU) runLaunch(rss []*runSpec) error {
 	}
 
 	dramBytes, dramTxns := ls.dram.traffic()
+	g.Stats.Merge(&ls.shared)
 	g.Stats.Cycles += ls.now
 	g.Stats.DRAMBytes += dramBytes
 	g.Stats.DRAMTxns += dramTxns

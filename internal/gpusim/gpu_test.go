@@ -54,6 +54,15 @@ func setupVecAdd(n int) (*isa.Memory, uint64) {
 	return mem, o
 }
 
+// wait ends g's pending launch timings (GPU.Wait), so Stats and an
+// attached capture are complete, and fails the test on their error.
+func wait(t testing.TB, g *GPU) {
+	t.Helper()
+	if err := g.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestVecAddCorrectUnderTiming(t *testing.T) {
 	const n = 4096
 	k := vecAddKernel()
@@ -65,6 +74,7 @@ func TestVecAddCorrectUnderTiming(t *testing.T) {
 	if err := g.Launch(k, isa.Launch{Grid: (n + 255) / 256, Block: 256}, mem); err != nil {
 		t.Fatal(err)
 	}
+	wait(t, g)
 	for i := 0; i < n; i++ {
 		if got := mem.ReadF32(isa.SpaceGlobal, out+uint64(i*4)); got != float32(3*i) {
 			t.Fatalf("out[%d] = %g, want %g", i, got, float32(3*i))
@@ -87,6 +97,7 @@ func TestTimingMatchesFunctional(t *testing.T) {
 	if err := g.Launch(k, isa.Launch{Grid: n / 256, Block: 256}, memT); err != nil {
 		t.Fatal(err)
 	}
+	wait(t, g)
 	var f isa.Functional
 	if err := f.Launch(k, isa.Launch{Grid: n / 256, Block: 256}, memF); err != nil {
 		t.Fatal(err)
@@ -130,6 +141,7 @@ func TestCoalescingReducesTransactions(t *testing.T) {
 		if err := g.Launch(k, isa.Launch{Grid: n / 256, Block: 256}, mem); err != nil {
 			t.Fatal(err)
 		}
+		wait(t, g)
 		return g.Stats
 	}
 	unit := run(1)
@@ -172,6 +184,7 @@ func TestSharedBankConflicts(t *testing.T) {
 		if err := g.Launch(k, isa.Launch{Grid: 8, Block: 256}, isa.NewMemory()); err != nil {
 			t.Fatal(err)
 		}
+		wait(t, g)
 		return g.Stats
 	}
 	free := run(false, true)
@@ -233,6 +246,7 @@ func TestMemoryChannelScaling(t *testing.T) {
 		if err := g.Launch(k, isa.Launch{Grid: 32, Block: 256}, mem); err != nil {
 			t.Fatal(err)
 		}
+		wait(t, g)
 		return g.Stats.Cycles
 	}
 	c4 := run(4)
@@ -278,6 +292,7 @@ func TestL1CacheHelpsReuse(t *testing.T) {
 		if err := g.Launch(k, isa.Launch{Grid: 8, Block: 256}, mem); err != nil {
 			t.Fatal(err)
 		}
+		wait(t, g)
 		return g.Stats.Cycles, g.Stats.L1Hits
 	}
 	noL1 := Base8SM()
@@ -321,6 +336,7 @@ func TestOccupancyHistogram(t *testing.T) {
 	if err := g.Launch(k, isa.Launch{Grid: 4, Block: 256}, mem); err != nil {
 		t.Fatal(err)
 	}
+	wait(t, g)
 	f := g.Stats.OccupancyFractions()
 	if f[0] < 0.5 {
 		t.Fatalf("expected mostly 1-8-lane warps, got %v", f)
@@ -355,6 +371,7 @@ func TestMemOpBreakdown(t *testing.T) {
 	if err := g.Launch(k, isa.Launch{Grid: 1, Block: 32}, mem); err != nil {
 		t.Fatal(err)
 	}
+	wait(t, g)
 	for _, sp := range []isa.Space{isa.SpaceConst, isa.SpaceTex, isa.SpaceShared, isa.SpaceGlobal, isa.SpaceParam} {
 		if g.Stats.MemOps[sp] == 0 {
 			t.Errorf("no %v ops recorded", sp)
@@ -471,6 +488,7 @@ func TestBarrierReductionUnderTiming(t *testing.T) {
 	if err := g.Launch(k, isa.Launch{Grid: 16, Block: block}, mem); err != nil {
 		t.Fatal(err)
 	}
+	wait(t, g)
 	want := int64(block * (block + 1) / 2)
 	for i := 0; i < 16; i++ {
 		if got := mem.ReadI64(isa.SpaceGlobal, out+uint64(i*8)); got != want {
@@ -603,6 +621,7 @@ func TestGridLargerThanDevice(t *testing.T) {
 	if err := g.Launch(k, isa.Launch{Grid: n / 64, Block: 64}, mem); err != nil {
 		t.Fatal(err)
 	}
+	wait(t, g)
 	for _, i := range []int{0, n / 2, n - 1} {
 		if got := mem.ReadF32(isa.SpaceGlobal, out+uint64(i*4)); got != float32(3*i) {
 			t.Fatalf("out[%d] = %g, want %g", i, got, float32(3*i))
@@ -630,6 +649,7 @@ func TestPerKernelStats(t *testing.T) {
 	if err := g.Launch(k2, isa.Launch{Grid: 8, Block: 256}, mem2); err != nil {
 		t.Fatal(err)
 	}
+	wait(t, g)
 	if len(g.Stats.PerKernel) != 2 {
 		t.Fatalf("PerKernel has %d entries", len(g.Stats.PerKernel))
 	}
@@ -671,6 +691,7 @@ func TestConcurrentKernelsCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wait(t, g)
 	for i := 0; i < n; i++ {
 		if got := mem1.ReadF32(isa.SpaceGlobal, out1+uint64(i*4)); got != float32(3*i) {
 			t.Fatalf("vecadd out[%d] = %g, want %g", i, got, float32(3*i))
@@ -718,6 +739,7 @@ func TestConcurrentComplementaryKernelsOverlap(t *testing.T) {
 		if err := g.Launch(mkCompute(), launchCmp, isa.NewMemory()); err != nil {
 			t.Fatal(err)
 		}
+		wait(t, g)
 		return g.Stats.Cycles
 	}()
 	concurrent := func() uint64 {
@@ -729,6 +751,7 @@ func TestConcurrentComplementaryKernelsOverlap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		wait(t, g)
 		return g.Stats.Cycles
 	}()
 	if concurrent >= serial {
@@ -759,6 +782,7 @@ func TestConcurrentResourceAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wait(t, g)
 	if g.Stats.CTAs != 64 {
 		t.Fatalf("CTAs = %d, want 64", g.Stats.CTAs)
 	}
@@ -798,6 +822,7 @@ func TestSIMDWidthScalesIssueCost(t *testing.T) {
 		if err := g.Launch(mk(), isa.Launch{Grid: 64, Block: 256}, isa.NewMemory()); err != nil {
 			t.Fatal(err)
 		}
+		wait(t, g)
 		return g.Stats.Cycles
 	}
 	wide := run(32)
@@ -824,6 +849,7 @@ func TestInterCTASharingStats(t *testing.T) {
 	if err := g.Launch(k, isa.Launch{Grid: 8, Block: 32}, mem); err != nil {
 		t.Fatal(err)
 	}
+	wait(t, g)
 	if g.Stats.GlobalLines != 1 {
 		t.Fatalf("GlobalLines = %d, want 1", g.Stats.GlobalLines)
 	}

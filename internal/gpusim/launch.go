@@ -195,6 +195,11 @@ type launchState struct {
 	// event loops hoist it into a local so the disabled path costs one
 	// predictable branch per collection site.
 	lo *launchObs
+
+	// shared counts the sharing tracker's statistics, which belong to no
+	// kernel (priceShared); they join GPU.Stats with the rest of the
+	// launch's counts, so a failed launch leaves Stats as they were.
+	shared Stats
 }
 
 // fill assigns pending CTAs round-robin across kernels to an SM while its
@@ -456,11 +461,11 @@ func (ls *launchState) execWarp(sm *smRT, w *warpRT, tally []*Stats, out *issued
 
 // priceShared completes the pricing of a mem step through the shared
 // memory system. Must run serialized, in SM index order. Sharing
-// statistics land in GPU.Stats directly — the tracker state they
-// accompany is launch-global.
+// statistics land in the launch's ls.shared, not a kernel's tally — the
+// tracker state they accompany is launch-global.
 func (ls *launchState) priceShared(sm *smRT, step *issuedStep, now uint64) {
 	step.issue, step.lat = ls.ms.sharedCost(
-		now, sm.caches, step.w.cta.index, &step.st, step.issue, ls.g.Stats)
+		now, sm.caches, step.w.cta.index, &step.st, step.issue, &ls.shared)
 }
 
 // settleTiming applies an issued step's charges to the SM and warp.

@@ -140,6 +140,7 @@ func TestRunAheadOrder(t *testing.T) {
 			if err := leg.launch(g); err != nil {
 				t.Fatalf("%s: %v", leg.name, err)
 			}
+			wait(t, g)
 			return statsJSON(t, g.Stats)
 		}
 		seq := run(0, 0)

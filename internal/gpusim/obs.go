@@ -120,6 +120,7 @@ type gpuCounters struct {
 	stallPort, stallSkip, stallWarp *obs.Counter
 	skipAhead                       *obs.Counter
 	cycles, launches                *obs.Counter
+	overlapped                      *obs.Counter
 
 	dramBacklog    *obs.Counter
 	dramMaxBacklog *obs.Gauge
@@ -141,6 +142,7 @@ func newGPUCounters(r *obs.Registry, numSMs int) *gpuCounters {
 		skipAhead:        r.Counter("gpusim.clock.skipped_cycles"),
 		cycles:           r.Counter("gpusim.cycles"),
 		launches:         r.Counter("gpusim.launches"),
+		overlapped:       r.Counter("gpusim.launch.overlapped"),
 		dramBacklog:      r.Counter("gpusim.dram.backlog_cycles"),
 		dramMaxBacklog:   r.Gauge("gpusim.dram.max_backlog_cycles"),
 		dramAccesses:     r.Counter("gpusim.dram.accesses"),
@@ -187,8 +189,16 @@ func newGPUCounters(r *obs.Registry, numSMs int) *gpuCounters {
 //     histogram) and barrier crossings (gpusim.barrier.crossings, one
 //     per epoch round);
 //   - the epoch engine's parked loads, retire holds and per-round clock
-//     advance (gpusim.epoch.*).
+//     advance (gpusim.epoch.*);
+//   - gpusim.launch.overlapped, the live launches whose producers started
+//     while an earlier launch's timing was still pending (feed.go). It
+//     depends on host scheduling, so unlike the rest it is not a
+//     function of the trace and configuration.
+//
+// SetObs waits for pending launches first (Wait), so a launch reports to
+// the registry that was attached when it started.
 func (g *GPU) SetObs(r *obs.Registry) {
+	_ = g.Wait() // a failure stays for the next Launch or Wait
 	if r == nil {
 		g.obsC = nil
 		return

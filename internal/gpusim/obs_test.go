@@ -24,6 +24,7 @@ func runVecAddObs(t *testing.T, cfg Config, n int) (*Stats, *obs.Registry) {
 	if err := g.Launch(k, isa.Launch{Grid: (n + 255) / 256, Block: 256}, mem); err != nil {
 		t.Fatal(err)
 	}
+	wait(t, g)
 	return g.Stats, r
 }
 
@@ -104,6 +105,7 @@ func TestObsSequential(t *testing.T) {
 	if err := g.Launch(k, isa.Launch{Grid: 16, Block: 256}, mem); err != nil {
 		t.Fatal(err)
 	}
+	wait(t, g)
 	if !reflect.DeepEqual(st, g.Stats) {
 		t.Fatalf("registry perturbed Stats:\nwith obs: %+v\nwithout:  %+v", st, g.Stats)
 	}

@@ -69,6 +69,7 @@ func runDeterminismWorkload(t *testing.T, cfg Config) (*Stats, []float32) {
 	if err := g.Launch(vecAddKernel(), isa.Launch{Grid: nw / 256, Block: 256}, memW); err != nil {
 		t.Fatal(err)
 	}
+	wait(t, g)
 
 	out := make([]float32, 0, 2*n+16+nw)
 	for i := 0; i < n; i++ {
@@ -158,6 +159,7 @@ func TestParallelBenignCrossCTAWrites(t *testing.T) {
 		if err := g.Launch(benignWriteKernel(), isa.Launch{Grid: grid, Block: block}, mem); err != nil {
 			t.Fatal(err)
 		}
+		wait(t, g)
 		vals := make([]int32, 0, grid*block+1)
 		for i := 0; i < grid*block; i++ {
 			vals = append(vals, mem.ReadI32(isa.SpaceGlobal, out+uint64(i*4)))

@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -205,6 +206,75 @@ func (s *Stats) Merge(other *Stats) {
 	s.InterCTALines += other.InterCTALines
 	s.InterCTAAccesses += other.InterCTAAccesses
 	s.GlobalLineAccesses += other.GlobalLineAccesses
+}
+
+// Check returns an error naming every identity s breaks, for Stats the
+// timing model accumulated on a GPU built for cfg. The figures rest on
+// them, and no differential between two paths through shared code can
+// catch a bug in the shared part that breaks them:
+//
+//   - the occupancy buckets (Figure 3) sum to WarpInstrs;
+//   - WarpInstrs ≤ ThreadInstrs ≤ isa.WarpSize × WarpInstrs;
+//   - the memory operations (Figure 2) are at most ThreadInstrs;
+//   - DRAMBytes = DRAMTxns × cfg.LineSize;
+//   - DivergentBranches ≤ BranchInstrs and InterCTALines ≤ GlobalLines;
+//   - no L1 or L2 accesses when cfg has no such cache;
+//   - the per-kernel instruction, memory-operation, occupancy, branch and
+//     bank-conflict counts sum to the totals.
+func (s *Stats) Check(cfg Config) error {
+	var errs []error
+	fail := func(format string, args ...any) {
+		errs = append(errs, fmt.Errorf("gpusim: stats of %s: "+format, append([]any{s.Config}, args...)...))
+	}
+	var occ uint64
+	for _, v := range s.Occupancy {
+		occ += v
+	}
+	if occ != s.WarpInstrs {
+		fail("occupancy buckets sum to %d, warp instructions %d", occ, s.WarpInstrs)
+	}
+	if s.ThreadInstrs < s.WarpInstrs || s.ThreadInstrs > isa.WarpSize*s.WarpInstrs {
+		fail("%d thread instructions for %d warp instructions", s.ThreadInstrs, s.WarpInstrs)
+	}
+	if m := s.MemOpsTotal(); m > s.ThreadInstrs {
+		fail("%d memory operations exceed %d thread instructions", m, s.ThreadInstrs)
+	}
+	if s.DRAMBytes != s.DRAMTxns*uint64(cfg.LineSize) {
+		fail("%d DRAM bytes for %d transactions of %d-byte lines", s.DRAMBytes, s.DRAMTxns, cfg.LineSize)
+	}
+	if s.DivergentBranches > s.BranchInstrs {
+		fail("%d divergent branches exceed %d branches", s.DivergentBranches, s.BranchInstrs)
+	}
+	if s.InterCTALines > s.GlobalLines {
+		fail("%d inter-CTA lines exceed %d global lines", s.InterCTALines, s.GlobalLines)
+	}
+	if n := s.L1Hits + s.L1Misses; cfg.L1CacheKB == 0 && n != 0 {
+		fail("%d L1 accesses without an L1", n)
+	}
+	if n := s.L2Hits + s.L2Misses; cfg.L2CacheKB == 0 && n != 0 {
+		fail("%d L2 accesses without an L2", n)
+	}
+	var sum Stats
+	for _, k := range s.PerKernel {
+		sum.Merge(k)
+	}
+	for _, c := range []struct {
+		name       string
+		kernels, s any
+	}{
+		{"warp instructions", sum.WarpInstrs, s.WarpInstrs},
+		{"thread instructions", sum.ThreadInstrs, s.ThreadInstrs},
+		{"memory operations", sum.MemOps, s.MemOps},
+		{"occupancy buckets", sum.Occupancy, s.Occupancy},
+		{"branches", sum.BranchInstrs, s.BranchInstrs},
+		{"divergent branches", sum.DivergentBranches, s.DivergentBranches},
+		{"bank-conflict cycles", sum.BankConflictCycles, s.BankConflictCycles},
+	} {
+		if c.kernels != c.s {
+			fail("per-kernel %s sum to %v, the total is %v", c.name, c.kernels, c.s)
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // String renders a one-screen summary.

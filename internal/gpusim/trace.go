@@ -110,19 +110,25 @@ func (tb *TraceBuilder) invalidate(reason string) {
 
 // Capture attaches a trace builder to the GPU: the recording of every
 // subsequent launch is kept in the returned builder's RunTrace. Keeping
-// it does not perturb Stats.
+// it does not perturb Stats. Pending launches are waited for first
+// (Wait), and the trace is complete after the next Wait.
 func (g *GPU) Capture() *TraceBuilder {
+	_ = g.Wait() // a failure stays for the next Launch or Wait
 	tb := &TraceBuilder{rt: &RunTrace{cfg: g.cfg}}
 	g.capture = tb
 	return tb
 }
 
 // Replay drives the GPU's timing model from a recorded trace instead of
-// executing kernels. It fails up front when the trace is not replayable
+// executing kernels, on the calling goroutine, after waiting for pending
+// launches (Wait). It fails up front when the trace is not replayable
 // (see RunTrace.Replayable), and returns an error when a launch's
 // recording does not match its geometry or a warp's stream cannot be
 // decoded (a truncated one, say).
 func (g *GPU) Replay(rt *RunTrace) error {
+	if err := g.Wait(); err != nil {
+		return err
+	}
 	if err := rt.Replayable(); err != nil {
 		return err
 	}

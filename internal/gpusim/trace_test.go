@@ -22,6 +22,7 @@ func captureVecAdd(t *testing.T, cfg Config, n int) *RunTrace {
 	if err := g.Launch(k, isa.Launch{Grid: (n + 255) / 256, Block: 256}, mem); err != nil {
 		t.Fatal(err)
 	}
+	wait(t, g)
 	return tb.Trace()
 }
 
@@ -37,6 +38,7 @@ func liveStats(t *testing.T, cfg Config, n int) *Stats {
 	if err := g.Launch(k, isa.Launch{Grid: (n + 255) / 256, Block: 256}, mem); err != nil {
 		t.Fatal(err)
 	}
+	wait(t, g)
 	return g.Stats
 }
 
@@ -107,6 +109,7 @@ func runTicket(t *testing.T, g *GPU, n int) {
 	if err := g.Launch(ticketKernel(), isa.Launch{Grid: n / 128, Block: 128}, mem); err != nil {
 		t.Fatal(err)
 	}
+	wait(t, g)
 	seen := make([]bool, n)
 	for i := 0; i < n; i++ {
 		v := mem.ReadI32(isa.SpaceGlobal, out+uint64(4*i))
@@ -181,6 +184,7 @@ func TestTraceConcurrentLaunchInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wait(t, g)
 	rt := tb.Trace()
 	if err := rt.Replayable(); err == nil || !strings.Contains(err.Error(), "concurrent") {
 		t.Fatalf("Replayable = %v, want concurrent-launch rejection", err)

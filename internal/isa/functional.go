@@ -184,6 +184,9 @@ func (f *Functional) Launch(k *Kernel, launch Launch, mem *Memory) error {
 	return nil
 }
 
+// Wait returns nil: Launch runs every CTA before it returns.
+func (f *Functional) Wait() error { return nil }
+
 // RunCTA runs one CTA of kernel k to completion. With rec non-nil it
 // also records every warp's steps as the CTA's streams in rec, so a
 // timing simulator can replay the CTA without executing it again.

@@ -311,6 +311,15 @@ func (l Launch) Validate() error {
 // Executor launches kernels. Both the functional executor (for correctness
 // tests) and the gpusim timing simulator implement it, so benchmark host
 // code is written once against this interface.
+//
+// Launch returns once the kernel has run: device memory holds its
+// results, and a fault in the kernel is its error. What else the
+// executor makes of the launch (gpusim's timing and statistics) may
+// still be pending, as a CUDA launch is asynchronous to the host. Wait
+// blocks until nothing launched is pending and returns the first error
+// any launch met; an executor that finishes its work inside Launch
+// returns nil.
 type Executor interface {
 	Launch(k *Kernel, launch Launch, mem *Memory) error
+	Wait() error
 }

@@ -31,6 +31,8 @@ func (e *recordExec) Launch(k *isa.Kernel, launch isa.Launch, mem *isa.Memory) e
 	return nil
 }
 
+func (e *recordExec) Wait() error { return nil }
+
 // FuzzReplayWarp replays arbitrary bytes as one warp's stream of a
 // benchmark kernel, chosen by index among every kernel the twelve
 // benchmarks launch. The seeds are those kernels' recorded test-class

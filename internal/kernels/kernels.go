@@ -28,9 +28,16 @@ type Instance struct {
 	check func(mem *isa.Memory) error
 }
 
-// Run executes the benchmark's kernel launches on the executor.
+// Run executes the benchmark's kernel launches on the executor and ends
+// with its Wait, so whatever the executor accumulates (a gpusim.GPU's
+// Stats and capture) is complete when Run returns, even when a launch
+// failed.
 func (in *Instance) Run(ex isa.Executor) error {
-	if err := in.run(ex, in.Mem); err != nil {
+	err := in.run(ex, in.Mem)
+	if werr := ex.Wait(); err == nil {
+		err = werr
+	}
+	if err != nil {
 		return fmt.Errorf("%s: %w", in.Bench.Name, err)
 	}
 	return nil

@@ -34,6 +34,9 @@ func launch(cfg gpusim.Config, k *isa.Kernel, grid, block int, mem *isa.Memory) 
 	if err := g.Launch(k, isa.Launch{Grid: grid, Block: block}, mem); err != nil {
 		return nil, err
 	}
+	if err := g.Wait(); err != nil {
+		return nil, err
+	}
 	return g.Stats, nil
 }
 
