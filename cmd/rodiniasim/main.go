@@ -10,7 +10,6 @@
 //	rodiniasim -config gtx480-l1    # base | base8 | gtx280 | gtx480-shared | gtx480-l1
 //	rodiniasim -config base,gtx280  # sweep several configs (trace-once, replay-many)
 //	rodiniasim -nocheck             # skip functional validation
-//	rodiniasim -workers 4           # shard SMs across 4 goroutines (bit-identical)
 //	rodiniasim -parallel 0          # run benchmarks concurrently (0 = GOMAXPROCS)
 //	rodiniasim -store DIR           # persistent artifact store: warm-start repeat runs
 //	rodiniasim -store-bytes N       # byte cap of the on-disk store LRU

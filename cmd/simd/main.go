@@ -10,7 +10,6 @@
 //	simd -store /var/cache/simd      # persistent artifact store
 //	simd -store-bytes 4294967296     # byte cap of the on-disk store LRU
 //	simd -nocheck                    # skip functional validation
-//	simd -workers 4                  # shard SMs across 4 goroutines (bit-identical)
 //
 // Endpoints:
 //

@@ -19,43 +19,37 @@ import (
 
 // The suite matrix holds every whole-suite differential of the GPU
 // simulator in one table. A leg simulates one benchmark at one size
-// class on one configuration, on the sequential loop (workers 0) or the
-// epoch engine, in one of four modes: live execution, the capturing run
+// class on one configuration, in one of three modes: the capturing run
 // itself, replay of the size class's trace captured under gpusim.Base,
 // or replay through a fresh store-backed experiments.Context that finds
-// only that trace on disk. Every leg must reproduce the sequential live
-// oracle for its (benchmark, size, configuration) deeply equal — the
-// contract every paper figure depends on — and hold the identities
-// gpusim.Stats.Check states. Each test below runs one row
-// of the table over all twelve benchmarks; oracles and captures are
-// computed once per test binary and shared by every leg of every row.
-// Under -race in CI the sharded legs also prove the epoch engine
-// race-clean. Live legs and the oracle run on the producer's recording
-// (functional-first, see internal/gpusim/feed.go), so live and replay
-// share one functional stream; schedule_test.go checks that stream
-// against schedules the producer never uses.
+// only that trace on disk. Every leg must reproduce the live oracle for
+// its (benchmark, size, configuration) deeply equal — the contract
+// every paper figure depends on — and hold the identities
+// gpusim.Stats.Check states. Each test below runs one row of the table
+// over all twelve benchmarks; oracles and captures are computed once per
+// test binary and shared by every leg of every row.
+// The oracle runs on the producer's recording (functional-first, see
+// internal/gpusim/feed.go), so live and replay share one functional
+// stream; schedule_test.go checks that stream against schedules the
+// producer never uses.
 
 // mode is how a leg obtains its Stats.
 type mode int
 
 const (
-	live    mode = iota // execute the kernels
-	capture             // the capturing run: recording must not perturb Stats
+	capture mode = iota // the capturing run: recording must not perturb Stats
 	replay              // replay the size class's capture
 	disk                // replay the capture from a store via a fresh Context
 )
 
-// leg is one cell of the matrix. cfg is the architecture only; workers
-// and epoch select the engine.
+// leg is one cell of the matrix.
 type leg struct {
-	mode           mode
-	cfg            gpusim.Config
-	workers, epoch int
+	mode mode
+	cfg  gpusim.Config
 }
 
 func (l leg) String() string {
-	return fmt.Sprintf("%s on %s workers=%d epoch=%d",
-		[...]string{"live", "capture", "replay", "disk"}[l.mode], l.cfg.Name, l.workers, l.epoch)
+	return fmt.Sprintf("%s on %s", [...]string{"capture", "replay", "disk"}[l.mode], l.cfg.Name)
 }
 
 // matrixRow is one test's slice of the matrix: the size class it runs
@@ -69,24 +63,10 @@ type matrixRow struct {
 // matrix is the table. Medium rows are the paper's size and skip in
 // -short mode.
 var matrix = []matrixRow{
-	{"TestParallelSimulationDeterminism", sizes.Medium, func(*kernels.Benchmark) []leg {
-		return []leg{{mode: live, cfg: gpusim.Base(), workers: 3}}
-	}},
 	{"TestGPUReplayDifferential", sizes.Medium, func(b *kernels.Benchmark) []leg {
 		legs := []leg{{mode: capture, cfg: gpusim.Base()}}
 		for _, cfg := range replayConfigs(b) {
-			legs = append(legs, leg{mode: replay, cfg: cfg}, leg{mode: replay, cfg: cfg, workers: 3, epoch: 64})
-		}
-		return legs
-	}},
-	{"TestEpochSimulationDeterminism", sizes.Test, func(*kernels.Benchmark) []leg {
-		var legs []leg
-		for _, epoch := range []int{1, 8, 64} {
-			for _, workers := range []int{2, 3} {
-				for _, m := range []mode{live, replay} {
-					legs = append(legs, leg{mode: m, cfg: gpusim.Base(), workers: workers, epoch: epoch})
-				}
-			}
+			legs = append(legs, leg{mode: replay, cfg: cfg})
 		}
 		return legs
 	}},
@@ -98,9 +78,7 @@ var matrix = []matrixRow{
 	}},
 }
 
-func TestParallelSimulationDeterminism(t *testing.T)      { runMatrix(t) }
 func TestGPUReplayDifferential(t *testing.T)              { runMatrix(t) }
-func TestEpochSimulationDeterminism(t *testing.T)         { runMatrix(t) }
 func TestGPUReplayDifferentialTestSize(t *testing.T)      { runMatrix(t) }
 func TestGPUReplayDiskRoundTripDifferential(t *testing.T) { runMatrix(t) }
 
@@ -157,31 +135,27 @@ func runMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("oracle on %s: %v", l.cfg.Name, err)
 				}
-				cfg := l.cfg
-				cfg.ShardWorkers, cfg.EpochCycles = l.workers, l.epoch
 				var got *gpusim.Stats
 				switch l.mode {
-				case live:
-					got, err = core.CharacterizeGPUAt(b, row.size, cfg, false)
 				case capture:
 					got = captured(t, b, row.size).st
 				case replay:
-					got, err = core.ReplayGPU(b, cfg, captured(t, b, row.size).rt)
+					got, err = core.ReplayGPU(b, l.cfg, captured(t, b, row.size).rt)
 				case disk:
 					if rd == nil {
 						rd = newDiskReader(t, b, row.size)
 					}
 					rd.legs++
-					got, err = rd.ctx.GPU(b, cfg)
+					got, err = rd.ctx.GPU(b, l.cfg)
 				}
 				if err != nil {
 					t.Fatalf("%s: %v", l, err)
 				}
-				if err := got.Check(cfg); err != nil {
+				if err := got.Check(l.cfg); err != nil {
 					t.Errorf("%s: %v", l, err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: stats diverge from sequential live execution\n got: %+v\nwant: %+v", l, got, want)
+					t.Errorf("%s: stats diverge from live execution\n got: %+v\nwant: %+v", l, got, want)
 				}
 			}
 			if rd != nil {
@@ -242,17 +216,13 @@ func (o *memo[K, V]) forget(k K) {
 }
 
 // capturedLater reports whether a row after row i uses the capture of
-// benchmark b at row i's size. Rows run one after another, so a capture
-// no later row uses can be dropped once its own row is done with it.
+// benchmark b at row i's size, as every leg does. Rows run one after
+// another, so a capture no later row uses can be dropped once its own
+// row is done with it.
 func capturedLater(i int, b *kernels.Benchmark) bool {
 	for _, r := range matrix[i+1:] {
-		if r.size != matrix[i].size {
-			continue
-		}
-		for _, l := range r.legs(b) {
-			if l.mode != live {
-				return true
-			}
+		if r.size == matrix[i].size && len(r.legs(b)) > 0 {
+			return true
 		}
 	}
 	return false

@@ -62,15 +62,6 @@ type Context struct {
 	// pass yields profiles identical to a serial one.
 	Workers int
 
-	// ShardWorkers, when > 0, is stamped onto every configuration
-	// characterized through the context: SMs shard across that many
-	// goroutines inside each simulation, on the epoch-parallel engine at
-	// its default epoch length. Results are bit-identical whatever the
-	// value — it is a host-side execution knob, not a device parameter —
-	// so results are keyed without it, just as without configuration
-	// names (store.StatsConfig).
-	ShardWorkers int
-
 	// Replay enables trace-once/replay-many characterization: the first
 	// run of a benchmark instance records a functional trace, and later
 	// runs under other configurations drive the timing model from it
@@ -192,9 +183,6 @@ func (c *Context) GPU(b *kernels.Benchmark, cfg gpusim.Config) (*gpusim.Stats, e
 // GPUAt is GPU at an explicit size class; the class is part of the memo
 // key, so the same benchmark at different sizes never shares a result.
 func (c *Context) GPUAt(b *kernels.Benchmark, size sizes.Class, cfg gpusim.Config) (*gpusim.Stats, error) {
-	if c.ShardWorkers > 0 {
-		cfg.ShardWorkers = c.ShardWorkers
-	}
 	key := gpuKey{bench: b.Abbrev, size: size, cfg: store.StatsConfig(cfg)}
 	id := traceID{bench: b.Abbrev, size: size}
 	src := source[*gpusim.Stats]{compute: func() (*gpusim.Stats, error) { return c.run(b, size, cfg) }}

@@ -8,8 +8,8 @@ import (
 )
 
 // Flags owns the Context wiring cmd/rodiniasim, cmd/experiments and
-// cmd/simd share — -workers, -nocheck, -store, -store-bytes —
-// in the manner of obs.ProfileFlags:
+// cmd/simd share — -nocheck, -store, -store-bytes — in the manner of
+// obs.ProfileFlags:
 //
 //	cf := experiments.ContextFlags(flag.CommandLine)
 //	flag.Parse()
@@ -17,7 +17,6 @@ import (
 //	if err != nil { ... }
 //	defer cf.Close()
 type Flags struct {
-	workers    *int
 	nocheck    *bool
 	storeDir   *string
 	storeBytes *int64
@@ -28,7 +27,6 @@ type Flags struct {
 // the handle that builds a Context from them.
 func ContextFlags(fs *flag.FlagSet) *Flags {
 	return &Flags{
-		workers:    fs.Int("workers", 0, "SM shard workers inside each simulation (results are bit-identical)"),
 		nocheck:    fs.Bool("nocheck", false, "skip functional validation of GPU kernels against the CPU reference"),
 		storeDir:   fs.String("store", "", "persistent artifact store directory (cached-or-computed results across runs)"),
 		storeBytes: fs.Int64("store-bytes", 0, "byte cap of the on-disk store LRU (0 = default)"),
@@ -41,7 +39,6 @@ func ContextFlags(fs *flag.FlagSet) *Flags {
 func (f *Flags) Context(reg *obs.Registry) (*Context, error) {
 	ctx := NewContext()
 	ctx.Check = !*f.nocheck
-	ctx.ShardWorkers = *f.workers
 	ctx.Obs = reg
 	if *f.storeDir != "" {
 		st, err := store.Open(*f.storeDir, *f.storeBytes, reg)

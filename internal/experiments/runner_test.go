@@ -173,7 +173,6 @@ func TestMemoHitAllocs(t *testing.T) {
 	defer func() { characterizeGPU = orig }()
 
 	ctx, _ := storeContext(t, t.TempDir())
-	ctx.ShardWorkers = 2
 	b := kernels.All()[0]
 	cfg := gpusim.Base8SM()
 	if _, err := ctx.GPU(b, cfg); err != nil {

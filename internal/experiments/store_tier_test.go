@@ -83,10 +83,11 @@ func TestStoreTierWarmStartsStats(t *testing.T) {
 	}
 }
 
-// TestStoreTierNormalizesHostKnobs pins that ShardWorkers/EpochCycles
-// and the config name are erased from the disk identity exactly as they
-// are from the in-memory memo: a result computed sequentially warm-starts
-// a sharded run, and another epoch length is then a memory hit.
+// TestStoreTierNormalizesHostKnobs pins that the config name and the
+// ignored ShardWorkers/EpochCycles are erased from the disk identity
+// exactly as they are from the in-memory memo: a result computed without
+// them warm-starts a config that sets them, and another epoch length is
+// then a memory hit.
 func TestStoreTierNormalizesHostKnobs(t *testing.T) {
 	var runs atomic.Int32
 	orig := characterizeGPU
@@ -105,9 +106,9 @@ func TestStoreTierNormalizesHostKnobs(t *testing.T) {
 	}
 
 	warm, st := storeContext(t, dir)
-	warm.ShardWorkers = 4
 	renamed := gpusim.Base()
 	renamed.Name = "renamed-but-identical"
+	renamed.ShardWorkers = 4
 	renamed.EpochCycles = 64
 	if _, err := warm.GPU(b, renamed); err != nil {
 		t.Fatal(err)

@@ -74,8 +74,6 @@ type GPUReport struct {
 	SkippedCycles     uint64     `json:"skipped_cycles"`
 	DRAMAccesses      uint64     `json:"dram_accesses"`
 	DRAMBacklogCycles uint64     `json:"dram_backlog_cycles"`
-	BarrierWaitNs     uint64     `json:"barrier_wait_ns"`
-	BarrierCrossings  uint64     `json:"barrier_crossings"`
 	SMs               []SMReport `json:"sms"`
 }
 
@@ -108,8 +106,6 @@ func BuildTelemetry(c *Context, outcomes []Outcome) *Telemetry {
 			SkippedCycles:     counters["gpusim.clock.skipped_cycles"],
 			DRAMAccesses:      counters["gpusim.dram.accesses"],
 			DRAMBacklogCycles: counters["gpusim.dram.backlog_cycles"],
-			BarrierWaitNs:     counters["gpusim.barrier.wait_ns"],
-			BarrierCrossings:  counters["gpusim.barrier.crossings"],
 		},
 		CPU: CPUReport{
 			Workloads:     counters["cpu.workloads"],

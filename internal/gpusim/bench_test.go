@@ -1,12 +1,10 @@
 package gpusim
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/isa"
 	"repro/internal/kernels"
-	"repro/internal/obs"
 )
 
 // BenchmarkGPUCharacterize times the full 12-benchmark GPU
@@ -32,61 +30,6 @@ func BenchmarkGPUCharacterize(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(cycles), "sim-cycles")
-}
-
-// BenchmarkShardScaling times trace replay of the full 12-benchmark
-// suite across shard-worker counts and epoch lengths — the wall-clock
-// axis behind Config.ShardWorkers and Config.EpochCycles. Traces are
-// captured once under the base configuration (replay isolates the
-// timing engines from functional execution), and each sub-benchmark
-// reports the barrier crossings the epoch engine performed: once per
-// round, which epoch 1 makes once per simulated cycle. Workers=1 is the
-// sequential loop. No committed artifact records its host numbers; run
-// it with go test -run '^$' -bench BenchmarkShardScaling.
-func BenchmarkShardScaling(b *testing.B) {
-	var traces []*RunTrace
-	for _, bench := range kernels.All() {
-		g, err := New(Base())
-		if err != nil {
-			b.Fatal(err)
-		}
-		tb := g.Capture()
-		if err := bench.Instance().Run(g); err != nil {
-			b.Fatal(err)
-		}
-		traces = append(traces, tb.Trace())
-	}
-	for _, workers := range []int{1, 2, 4} {
-		for _, epoch := range []int{1, 64} {
-			if workers == 1 && epoch > 1 {
-				continue // the epoch engine needs ≥ 2 workers
-			}
-			name := fmt.Sprintf("workers=%d/epoch=%d", workers, epoch)
-			b.Run(name, func(b *testing.B) {
-				cfg := Base()
-				cfg.ShardWorkers = workers
-				cfg.EpochCycles = epoch
-				reg := obs.New()
-				var cycles uint64
-				for i := 0; i < b.N; i++ {
-					cycles = 0
-					for _, rt := range traces {
-						g, err := New(cfg)
-						if err != nil {
-							b.Fatal(err)
-						}
-						g.SetObs(reg)
-						if err := g.Replay(rt); err != nil {
-							b.Fatal(err)
-						}
-						cycles += g.Stats.Cycles
-					}
-				}
-				b.ReportMetric(float64(cycles), "sim-cycles")
-				b.ReportMetric(float64(reg.Counters()["gpusim.barrier.crossings"])/float64(b.N), "barrier-crossings/op")
-			})
-		}
-	}
 }
 
 // benchALUKernel is an ALU-heavy kernel with a divergent guard and a

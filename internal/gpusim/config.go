@@ -64,24 +64,15 @@ type Config struct {
 
 	LineSize int // cache line / coalescing segment size in bytes
 
-	// ShardWorkers and EpochCycles are host-side simulation knobs, not
-	// architectural parameters. ShardWorkers above 1 simulates the SMs
-	// on that many worker goroutines (capped at NumSMs) with the
-	// epoch-parallel engine (epoch.go): workers advance their SMs up to
-	// EpochCycles cycles between coordinator synchronizations, with
-	// every memory-system interaction buffered per SM and replayed in
-	// global issue order at the epoch boundary. EpochCycles 0 selects
-	// DefaultEpochCycles; 1 synchronizes every cycle. Results are
-	// bit-identical to the sequential simulator (ShardWorkers 0 or 1)
-	// for every value of both, so they never change what an experiment
-	// measures — only how fast it runs.
+	// ShardWorkers and EpochCycles are ignored. They selected the
+	// epoch-parallel engine, which is gone: every launch runs on the one
+	// event loop (launch.go). They stay only because the benchmark
+	// module (simbench) still sets them; Validate still bounds them and
+	// store.StatsConfig still clears them, so store keys are unchanged.
+	// They go with the next store.EncodingVersion bump.
 	ShardWorkers int
 	EpochCycles  int
 }
-
-// DefaultEpochCycles is the epoch length the parallel engine runs at
-// when Config.EpochCycles is 0.
-const DefaultEpochCycles = 64
 
 // fieldBound is the accepted range of one integer Config field.
 type fieldBound struct {

@@ -1,31 +1,9 @@
 package gpusim
 
-// dramModel abstracts the device memory system the caches sit in front
-// of: it prices line transactions and reports the traffic it carried.
-// Implementations must be deterministic functions of their access
-// sequence — the parallel launch path replays the exact sequential
-// access order against the model, and bit-identical results depend on
-// it.
-type dramModel interface {
-	// access enqueues one line transaction for addr at cycle now and
-	// returns its completion cycle.
-	access(now, addr uint64) uint64
-	// drainedBy returns the cycle by which every channel is idle, at
-	// least now. A launch is not over until buffered stores drain.
-	drainedBy(now uint64) uint64
-	// minAccess is a lower bound on access(now, addr) - now for any
-	// state and address: no transaction completes in fewer cycles. The
-	// epoch-parallel simulator derives warp park bounds from it, so the
-	// bound must hold unconditionally (it may be loose, never tight the
-	// wrong way).
-	minAccess() uint64
-	// traffic reports the total bytes and transactions carried.
-	traffic() (bytes, txns uint64)
-}
-
-// fifoDRAM models the device memory system: independent channels
-// selected by line-interleaved addressing, each a FIFO with fixed
-// service time per transaction plus a pipe latency.
+// fifoDRAM models the device memory system the caches sit in front of:
+// independent channels selected by line-interleaved addressing, each a
+// FIFO with fixed service time per transaction plus a pipe latency. It
+// prices line transactions and reports the traffic it carried.
 type fifoDRAM struct {
 	freeAt  []uint64
 	service float64 // core cycles to transfer one line on one channel
@@ -36,13 +14,10 @@ type fifoDRAM struct {
 
 	// lo, when non-nil, receives queue-occupancy telemetry: the backlog
 	// of a channel at enqueue time (freeAt − now, in cycles) is the FIFO
-	// model's measure of how deep the memory pipeline is running. access
-	// is only ever called from the serialized pricing path (sequential
-	// loop or phase B), so plain fields suffice.
+	// model's measure of how deep the memory pipeline is running. Only
+	// the event loop calls access, so plain fields suffice.
 	lo *launchObs
 }
-
-var _ dramModel = (*fifoDRAM)(nil)
 
 func newDRAM(cfg *Config) *fifoDRAM {
 	return &fifoDRAM{
@@ -53,6 +28,8 @@ func newDRAM(cfg *Config) *fifoDRAM {
 	}
 }
 
+// access enqueues one line transaction for addr at cycle now and returns
+// its completion cycle.
 func (d *fifoDRAM) access(now, addr uint64) uint64 {
 	ch := (addr / d.line) % uint64(len(d.freeAt))
 	start := d.freeAt[ch]
@@ -74,12 +51,8 @@ func (d *fifoDRAM) access(now, addr uint64) uint64 {
 	return d.freeAt[ch] + d.latency
 }
 
-// minAccess: a channel free at enqueue still serves the line (service
-// cycles, as rounded in access) and traverses the pipe (latency).
-func (d *fifoDRAM) minAccess() uint64 {
-	return uint64(d.service+0.5) + d.latency
-}
-
+// drainedBy returns the cycle by which every channel is idle, at least
+// now. A launch is not over until buffered stores drain.
 func (d *fifoDRAM) drainedBy(now uint64) uint64 {
 	for _, f := range d.freeAt {
 		if f > now {
@@ -89,4 +62,5 @@ func (d *fifoDRAM) drainedBy(now uint64) uint64 {
 	return now
 }
 
-func (d *fifoDRAM) traffic() (uint64, uint64) { return d.bytes, d.txns }
+// traffic reports the total bytes and transactions carried.
+func (d *fifoDRAM) traffic() (bytes, txns uint64) { return d.bytes, d.txns }

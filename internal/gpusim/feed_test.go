@@ -11,21 +11,8 @@ import (
 	"repro/internal/obs"
 )
 
-// engines are the two event loops every failure test runs on.
-var engines = []struct {
-	name    string
-	workers int
-}{{"sequential", 0}, {"epoch", 2}}
-
-// engineConfig is Base8SM on the named engine.
-func engineConfig(workers int) Config {
-	cfg := Base8SM()
-	cfg.ShardWorkers = workers
-	return cfg
-}
-
 // waitGoroutines fails the test unless the goroutine count falls back to
-// base: a launch must not leave its producer or shard workers behind.
+// base: a launch must not leave its producer or timing goroutine behind.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -55,51 +42,98 @@ func faultAtKernel(k int64) *isa.Kernel {
 
 // TestLaunchFaultAtLaterCTA faults in a CTA the initial fill places and
 // in one only a refill after a retire reaches (Base8SM holds 64 of these
-// CTAs at once). Launch must return the fault on both engines,
-// invalidate the attached capture, and leave no goroutine behind.
+// CTAs at once). Launch must return the fault, invalidate the attached
+// capture, and leave no goroutine behind.
 func TestLaunchFaultAtLaterCTA(t *testing.T) {
-	for _, e := range engines {
-		for _, k := range []int64{3, 100} {
-			base := runtime.NumGoroutine()
-			g, err := New(engineConfig(e.workers))
-			if err != nil {
-				t.Fatal(err)
-			}
-			tb := g.Capture()
-			err = g.Launch(faultAtKernel(k), isa.Launch{Grid: 128, Block: 64}, isa.NewMemory())
-			if err == nil || !strings.Contains(err.Error(), "exceeds arena") || !strings.Contains(err.Error(), "faultat") {
-				t.Fatalf("%s, fault at CTA %d: Launch returned %v, want the out-of-bounds store", e.name, k, err)
-			}
-			g.Wait()
-			if err := tb.Trace().Replayable(); err == nil || !strings.Contains(err.Error(), "launch failed") {
-				t.Fatalf("%s, fault at CTA %d: capture not invalidated: %v", e.name, k, err)
-			}
-			waitGoroutines(t, base)
+	for _, k := range []int64{3, 100} {
+		base := runtime.NumGoroutine()
+		g, err := New(Base8SM())
+		if err != nil {
+			t.Fatal(err)
 		}
+		tb := g.Capture()
+		err = g.Launch(faultAtKernel(k), isa.Launch{Grid: 128, Block: 64}, isa.NewMemory())
+		if err == nil || !strings.Contains(err.Error(), "exceeds arena") || !strings.Contains(err.Error(), "faultat") {
+			t.Fatalf("fault at CTA %d: Launch returned %v, want the out-of-bounds store", k, err)
+		}
+		g.Wait()
+		if err := tb.Trace().Replayable(); err == nil || !strings.Contains(err.Error(), "launch failed") {
+			t.Fatalf("fault at CTA %d: capture not invalidated: %v", k, err)
+		}
+		waitGoroutines(t, base)
 	}
 }
 
 // TestProducerPanicBecomesError launches a kernel that reads a parameter
 // with no Memory attached, which panics inside the interpreter on the
-// producer goroutine. Launch must return the panic as an error on both
-// engines instead of crashing the process.
+// producer goroutine. Launch must return the panic as an error instead
+// of crashing the process.
 func TestProducerPanicBecomesError(t *testing.T) {
 	b := isa.NewBuilder()
 	v := b.I()
 	b.LdParamI(v, 0)
 	k := b.Build("nomem")
-	for _, e := range engines {
-		base := runtime.NumGoroutine()
-		g, err := New(engineConfig(e.workers))
-		if err != nil {
-			t.Fatal(err)
+	base := runtime.NumGoroutine()
+	g, err := New(Base8SM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = g.Launch(k, isa.Launch{Grid: 4, Block: 64}, nil)
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("Launch returned %v, want the producer's panic", err)
+	}
+	g.Wait()
+	waitGoroutines(t, base)
+}
+
+// benignWriteKernel reproduces the BFS idiom: every thread writes the
+// same value to one shared global flag (as different CTAs marking a
+// common neighbor do) in addition to its own output slot.
+func benignWriteKernel() *isa.Kernel {
+	b := isa.NewBuilder()
+	tid, cta, ntid, gid, addr, base, flagAddr, one := b.I(), b.I(), b.I(), b.I(), b.I(), b.I(), b.I(), b.I()
+	b.Rd(tid, isa.SpecTid)
+	b.Rd(cta, isa.SpecCta)
+	b.Rd(ntid, isa.SpecNTid)
+	b.LdParamI(base, 0)
+	b.LdParamI(flagAddr, 1)
+	b.MovI(one, 1)
+	b.St(isa.I32, isa.SpaceGlobal, flagAddr, 0, one) // every thread, every CTA
+	b.IMul(gid, cta, ntid)
+	b.IAdd(gid, gid, tid)
+	b.ShlI(addr, gid, 2)
+	b.IAdd(addr, addr, base)
+	b.St(isa.I32, isa.SpaceGlobal, addr, 0, gid)
+	return b.Build("benignwrite")
+}
+
+// TestParallelBenignCrossCTAWrites runs the BFS idiom: CTAs store the
+// same value to one global address while the launch's timing replays
+// the CTAs the producer has already published. Under go test -race this
+// proves the timing side reads no benchmark memory; every output slot
+// and the flag must hold what the kernel wrote.
+func TestParallelBenignCrossCTAWrites(t *testing.T) {
+	const grid, block = 32, 128
+	g, err := New(Base8SM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := isa.NewMemory()
+	out := mem.AllocGlobal(grid * block * 4)
+	flag := mem.AllocGlobal(4)
+	mem.SetParamI(0, int64(out))
+	mem.SetParamI(1, int64(flag))
+	if err := g.Launch(benignWriteKernel(), isa.Launch{Grid: grid, Block: block}, mem); err != nil {
+		t.Fatal(err)
+	}
+	wait(t, g)
+	for i := 0; i < grid*block; i++ {
+		if v := mem.ReadI32(isa.SpaceGlobal, out+uint64(i*4)); v != int32(i) {
+			t.Fatalf("out[%d] = %d, want %d", i, v, i)
 		}
-		err = g.Launch(k, isa.Launch{Grid: 4, Block: 64}, nil)
-		if err == nil || !strings.Contains(err.Error(), "panicked") {
-			t.Fatalf("%s: Launch returned %v, want the producer's panic", e.name, err)
-		}
-		g.Wait()
-		waitGoroutines(t, base)
+	}
+	if v := mem.ReadI32(isa.SpaceGlobal, flag); v != 1 {
+		t.Fatalf("flag = %d, want 1", v)
 	}
 }
 
@@ -114,10 +148,11 @@ func (p panicScheduler) pick(sm *smRT, now uint64) *warpRT {
 	return looseRoundRobin{}.pick(sm, now)
 }
 
-// TestEpochPanicBecomesError panics in the epoch engine's SM execution,
-// on SM 0, which the coordinator's goroutine runs, and on SM 1, which the
-// worker runs under two shard workers. Launch and Replay must return the
-// panic as an error and leave no worker or producer behind.
+// TestEpochPanicBecomesError panics in the event loop's SM execution, on
+// SM 0 and on SM 1, in a live launch and in a replay (it was written for
+// the epoch engine, whose coordinator and worker ran those two SMs).
+// Launch/Wait and Replay must return the panic as an error and leave no
+// timing goroutine or producer behind.
 func TestEpochPanicBecomesError(t *testing.T) {
 	const n = 4096
 	rt := captureVecAdd(t, Base(), n)
@@ -134,7 +169,7 @@ func TestEpochPanicBecomesError(t *testing.T) {
 	for name, run := range runs {
 		for sm := 0; sm < 2; sm++ {
 			base := runtime.NumGoroutine()
-			g, err := New(engineConfig(2))
+			g, err := New(Base8SM())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +184,7 @@ func TestEpochPanicBecomesError(t *testing.T) {
 
 // TestReplayTruncatedStream replays a trace whose last warp stream lost
 // its final byte, as a torn write to disk would leave it. Replay must
-// return the decode error on both engines.
+// return the decode error.
 func TestReplayTruncatedStream(t *testing.T) {
 	rt := captureVecAdd(t, Base(), 4096)
 	cfg, launches, invalid := rt.Export()
@@ -158,17 +193,15 @@ func TestReplayTruncatedStream(t *testing.T) {
 	last := &lt.Warps[len(lt.Warps)-1]
 	last.Data = last.Data[:len(last.Data)-1]
 	torn := ImportRunTrace(cfg, []*isa.LaunchTrace{&lt}, invalid)
-	for _, e := range engines {
-		base := runtime.NumGoroutine()
-		g, err := New(engineConfig(e.workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Replay(torn); err == nil || !strings.Contains(err.Error(), "exhausted") {
-			t.Fatalf("%s: Replay returned %v, want the truncated stream's decode error", e.name, err)
-		}
-		waitGoroutines(t, base)
+	base := runtime.NumGoroutine()
+	g, err := New(Base8SM())
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := g.Replay(torn); err == nil || !strings.Contains(err.Error(), "exhausted") {
+		t.Fatalf("Replay returned %v, want the truncated stream's decode error", err)
+	}
+	waitGoroutines(t, base)
 }
 
 // gateScheduler issues as looseRoundRobin does once open is closed; until
@@ -205,14 +238,14 @@ func launchVecAdd(g *GPU) error {
 	return g.Launch(vecAddKernel(), isa.Launch{Grid: n / 256, Block: 256}, mem)
 }
 
-// TestTimingPanicComesBackFromWait panics in the sequential loop, which
-// runs on a launch's timing goroutine, in a live two-launch run. Wait
-// must return the panic as an error, so must the next Launch, which now
-// knows it, and no goroutine may be left behind.
+// TestTimingPanicComesBackFromWait panics in the event loop, which runs
+// on a launch's timing goroutine, in a live two-launch run. Wait must
+// return the panic as an error, so must the next Launch, which now knows
+// it, and no goroutine may be left behind.
 func TestTimingPanicComesBackFromWait(t *testing.T) {
 	const want = "panicked: scheduler fault"
 	base := runtime.NumGoroutine()
-	g, err := New(engineConfig(0))
+	g, err := New(Base8SM())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,52 +268,50 @@ func TestTimingPanicComesBackFromWait(t *testing.T) {
 // TestProducerFaultBehindPendingTiming faults in launch 2's producer
 // while launch 1's timing is held pending. Launch 2 must return the
 // fault, count as overlapped, and leave Stats equal to launch 1's alone
-// once the held timing ends, on both engines.
+// once the held timing ends.
 func TestProducerFaultBehindPendingTiming(t *testing.T) {
-	for _, e := range engines {
-		base := runtime.NumGoroutine()
-		alone, err := New(engineConfig(e.workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := launchVecAdd(alone); err != nil {
-			t.Fatal(err)
-		}
-		wait(t, alone)
-
-		g, err := New(engineConfig(e.workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := obs.New()
-		g.SetObs(r)
-		open := make(chan struct{})
-		release := sync.OnceFunc(func() { close(open) })
-		defer release() // a failed check must not leave the timing held
-		g.sched = gateScheduler{open}
-		if err := launchVecAdd(g); err != nil {
-			t.Fatalf("%s: launch 1: %v", e.name, err)
-		}
-		// CTA 100 lies past the initial fill, so launch 2's timing runs
-		// CTAs, and prices their loads, before it reaches the fault.
-		mem := isa.NewMemory()
-		mem.SetParamI(0, int64(mem.AllocGlobal(4)))
-		err = g.Launch(loadThenFaultAt(100), isa.Launch{Grid: 128, Block: 64}, mem)
-		if err == nil || !strings.Contains(err.Error(), "exceeds arena") {
-			t.Fatalf("%s: launch 2 returned %v, want its producer's fault", e.name, err)
-		}
-		if n := r.Counters()["gpusim.launch.overlapped"]; n != 1 {
-			t.Fatalf("%s: gpusim.launch.overlapped = %d, want 1", e.name, n)
-		}
-		release()
-		if err := g.Wait(); err == nil || !strings.Contains(err.Error(), "exceeds arena") {
-			t.Fatalf("%s: Wait returned %v, want launch 2's fault", e.name, err)
-		}
-		if got, want := statsJSON(t, g.Stats), statsJSON(t, alone.Stats); got != want {
-			t.Fatalf("%s: Stats after the failed launch 2\n got: %s\nwant launch 1 alone: %s", e.name, got, want)
-		}
-		waitGoroutines(t, base)
+	base := runtime.NumGoroutine()
+	alone, err := New(Base8SM())
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := launchVecAdd(alone); err != nil {
+		t.Fatal(err)
+	}
+	wait(t, alone)
+
+	g, err := New(Base8SM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := obs.New()
+	g.SetObs(r)
+	open := make(chan struct{})
+	release := sync.OnceFunc(func() { close(open) })
+	defer release() // a failed check must not leave the timing held
+	g.sched = gateScheduler{open}
+	if err := launchVecAdd(g); err != nil {
+		t.Fatalf("launch 1: %v", err)
+	}
+	// CTA 100 lies past the initial fill, so launch 2's timing runs CTAs,
+	// and prices their loads, before it reaches the fault.
+	mem := isa.NewMemory()
+	mem.SetParamI(0, int64(mem.AllocGlobal(4)))
+	err = g.Launch(loadThenFaultAt(100), isa.Launch{Grid: 128, Block: 64}, mem)
+	if err == nil || !strings.Contains(err.Error(), "exceeds arena") {
+		t.Fatalf("launch 2 returned %v, want its producer's fault", err)
+	}
+	if n := r.Counters()["gpusim.launch.overlapped"]; n != 1 {
+		t.Fatalf("gpusim.launch.overlapped = %d, want 1", n)
+	}
+	release()
+	if err := g.Wait(); err == nil || !strings.Contains(err.Error(), "exceeds arena") {
+		t.Fatalf("Wait returned %v, want launch 2's fault", err)
+	}
+	if got, want := statsJSON(t, g.Stats), statsJSON(t, alone.Stats); got != want {
+		t.Fatalf("Stats after the failed launch 2\n got: %s\nwant launch 1 alone: %s", got, want)
+	}
+	waitGoroutines(t, base)
 }
 
 // TestPipelineDepthBoundsRecordings holds launch 1's timing pending
@@ -290,7 +321,7 @@ func TestProducerFaultBehindPendingTiming(t *testing.T) {
 // pipelineDepth+1 launches' recordings are ever alive.
 func TestPipelineDepthBoundsRecordings(t *testing.T) {
 	base := runtime.NumGoroutine()
-	g, err := New(engineConfig(0))
+	g, err := New(Base8SM())
 	if err != nil {
 		t.Fatal(err)
 	}

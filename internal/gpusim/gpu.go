@@ -22,10 +22,7 @@ import (
 // (scheduler.go), a memory subsystem — coalescer, bank-conflict model,
 // cache hierarchy — (memsys.go), and a DRAM-channel model (dram.go).
 // Configuration differences such as Fermi vs. GT200 are expressed as
-// component wiring, not branches in the event loop (launch.go). Setting
-// Config.ShardWorkers > 1 simulates SMs on worker goroutines with the
-// epoch-parallel engine, whose results are bit-identical to the
-// sequential loop's (epoch.go).
+// component wiring, not branches in the event loop (launch.go).
 type GPU struct {
 	cfg Config
 	// Stats accumulates every launch's statistics. The timing side writes
@@ -221,8 +218,9 @@ func (g *GPU) time(rss []*runSpec, prev, done chan struct{}) {
 	close(done)
 }
 
-// timeLaunch runs a live launch's event loop and returns a panic in it
-// as an error: nothing else on the timing goroutine would recover it.
+// timeLaunch runs a launch's event loop, live or replayed, and returns a
+// panic in it as an error: nothing else on a live launch's timing
+// goroutine would recover it, and Replay returns it like any failure.
 func (g *GPU) timeLaunch(rss []*runSpec) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -278,7 +276,7 @@ func (g *GPU) runLaunch(rss []*runSpec) error {
 		issueC: g.cfg.issueCycles(),
 	}
 	if g.obsC != nil {
-		ls.lo = newLaunchObs(g.cfg.NumSMs, g.obsC)
+		ls.lo = newLaunchObs(g.cfg.NumSMs)
 		d.lo = ls.lo
 	}
 	for _, sp := range rss {
@@ -295,17 +293,7 @@ func (g *GPU) runLaunch(rss []*runSpec) error {
 			return err
 		}
 	}
-	var err error
-	if w := g.shardWorkers(); w > 1 {
-		e := g.cfg.EpochCycles
-		if e == 0 {
-			e = DefaultEpochCycles
-		}
-		err = ls.runEpoch(w, e)
-	} else {
-		err = ls.run()
-	}
-	if err != nil {
+	if err := ls.run(); err != nil {
 		return err
 	}
 
@@ -335,16 +323,6 @@ func (g *GPU) runLaunch(rss []*runSpec) error {
 		g.Stats.Kernel(sp.k.Name).Merge(ks)
 	}
 	return nil
-}
-
-// shardWorkers resolves the configured worker count against the device:
-// there is never a reason to run more shards than SMs.
-func (g *GPU) shardWorkers() int {
-	w := g.cfg.ShardWorkers
-	if w > g.cfg.NumSMs {
-		w = g.cfg.NumSMs
-	}
-	return w
 }
 
 type cacheCounts struct{ l1h, l1m, l2h, l2m, ch, cm, th, tm uint64 }

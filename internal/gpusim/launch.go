@@ -26,17 +26,6 @@ type warpRT struct {
 	// across retirement compaction, so readiness writes can update the
 	// SM's flat scan array (smRT.ready) in O(1).
 	slot int
-
-	// parked marks a warp whose memory latency is not yet known on the
-	// epoch-parallel path (epoch.go): the warp issued a load into the
-	// SM's epoch log and blocks until the coordinator prices it.
-	// parkBound is the SM-locally provable lower bound on the eventual
-	// readyAt (issue cycle + the memory subsystem's λ for the space); the
-	// SM never advances past the smallest bound among its parked warps,
-	// which is what keeps local scheduling exact. Both stay zero outside
-	// epoch mode.
-	parked    bool
-	parkBound uint64
 }
 
 type ctaRT struct {
@@ -56,10 +45,10 @@ type smRT struct {
 
 	// ready mirrors each warp's issue readiness — readyAt, or blockedAt
 	// for warps that cannot issue (barrier, done, retired) — indexed like
-	// warps. The scheduler and nextReady scan it instead of chasing
-	// warpRT pointers: the scheduler's scan runs at every pick of every
-	// SM and dominates the event loop's cache traffic. Every write to a
-	// warp's blocked/readyAt goes through syncReady.
+	// warps. The scheduler scans it instead of chasing warpRT pointers:
+	// its scan runs at every pick of every SM and dominates the event
+	// loop's cache traffic. Every write to a warp's blocked/readyAt goes
+	// through syncReady.
 	ready []uint64
 
 	// skipUntil is a lower bound on the next cycle any warp on this SM can
@@ -70,12 +59,12 @@ type smRT struct {
 	// outside settleTiming: barrier release and CTA placement.
 	skipUntil uint64
 
-	// step is the SM's issued-step slot, the one both engines decode each
-	// issued instruction into (execWarp). On the sequential loop a step
-	// that needs launch-global state waits in it, parked, until the
-	// loop's clock reaches the cycle it issued at (run); fault likewise
-	// holds an undecodable stream until then, so the loop returns the
-	// fault it would meet first in (cycle, SM index) order.
+	// step is the SM's issued-step slot, the one execWarp decodes each
+	// issued instruction into. A step that needs launch-global state
+	// waits in it, parked, until the loop's clock reaches the cycle it
+	// issued at (run); fault likewise holds an undecodable stream until
+	// then, so the loop returns the fault it would meet first in (cycle,
+	// SM index) order.
 	step   issuedStep
 	parked bool
 	fault  error
@@ -100,18 +89,6 @@ func (sm *smRT) syncReady(w *warpRT) {
 	} else {
 		sm.ready[w.slot] = w.readyAt
 	}
-}
-
-// nextReady returns the earliest readyAt among the SM's unblocked warps,
-// or the maximum cycle if none could ever issue without outside help.
-func (sm *smRT) nextReady() uint64 {
-	best := blockedAt
-	for _, at := range sm.ready {
-		if at < best {
-			best = at
-		}
-	}
-	return best
 }
 
 // wake is the first cycle the SM can issue at: its issue port must be
@@ -151,10 +128,8 @@ type runSpec struct {
 }
 
 // newTally returns one zeroed Stats per kernel of a launch, indexed by
-// runSpec.idx: where an execution stream counts each kernel's
-// instructions, occupancy, branches, memory operations and bank
-// conflicts. The sequential loop counts into the launch's tally; each
-// epoch worker counts into its own and the run merges them after.
+// runSpec.idx: where the event loop counts each kernel's instructions,
+// occupancy, branches, memory operations and bank conflicts.
 func newTally(nspecs int) []*Stats {
 	t := make([]*Stats, nspecs)
 	for i := range t {
@@ -179,7 +154,7 @@ type issuedStep struct {
 type launchState struct {
 	g       *GPU
 	specs   []*runSpec
-	dram    dramModel
+	dram    *fifoDRAM
 	ms      *memSubsystem
 	sms     []*smRT
 	tally   []*Stats // the launch's per-kernel counts (newTally)
@@ -203,11 +178,9 @@ type launchState struct {
 }
 
 // fill assigns pending CTAs round-robin across kernels to an SM while its
-// resource budgets allow. now is the SM's current cycle — the launch
-// clock on the sequential path, the SM-local retire cycle on the epoch
-// path — and fresh warps become ready at it. On a live launch it first
-// waits for the CTA's producer to publish it, and fails if the producer
-// failed.
+// resource budgets allow. now is the launch clock, and fresh warps
+// become ready at it. On a live launch it first waits for the CTA's
+// producer to publish it, and fails if the producer failed.
 func (ls *launchState) fill(sm *smRT, now uint64) error {
 	for {
 		placed := false
@@ -257,7 +230,7 @@ func (ls *launchState) fill(sm *smRT, now uint64) error {
 	}
 }
 
-// run is the sequential event loop. Its clock stops only at global
+// run is the launch's event loop. Its clock stops only at global
 // events: an SM runs ahead on its own state (runAhead) until it picks a
 // step that needs launch-global state — a memory space priced by the
 // caches, the DRAM channels and the sharing tracker, or the exit that
@@ -329,10 +302,10 @@ func (ls *launchState) deadlock() error {
 		ls.specs[0].k.Name, ls.now, ls.pending)
 }
 
-// runAhead is the sequential loop's visit of SM si at cycle now, after
-// the SM's parked step, if any, has settled. From the SM's wake on it
-// picks and issues at each cycle its port and warps allow, settling every
-// step that touches only the SM: ALU, SFU and control, parameter and
+// runAhead is the loop's visit of SM si at cycle now, after the SM's
+// parked step, if any, has settled. From the SM's wake on it picks and
+// issues at each cycle its port and warps allow, settling every step
+// that touches only the SM: ALU, SFU and control, parameter and
 // shared memory, barriers, and a warp exit that leaves its CTA live. It
 // stops at a step that needs launch-global state and returns that step's
 // cycle for the loop to file the SM under, with the step parked in
@@ -359,7 +332,7 @@ func (ls *launchState) runAhead(sm *smRT, si int, now uint64) (uint64, error) {
 		if w == nil {
 			continue // pick recorded sm.skipUntil
 		}
-		if err := ls.execWarp(sm, w, ls.tally, step, t); err != nil {
+		if err := ls.execWarp(sm, w, step, t); err != nil {
 			if t == now {
 				return 0, err
 			}
@@ -397,12 +370,10 @@ func (ls *launchState) settle(sm *smRT, now uint64) error {
 // pricing, barrier arrival, and the SM-private memory spaces (parameter,
 // shared). A memory instruction that routes through the launch-global
 // memory system comes back with mem=true, for the caller to price via
-// priceShared. Both engines call it after their scheduler's pick, with
-// out the SM's issued-step slot and now the pick's cycle: the sequential
-// loop's runAhead ahead of its global clock, the epoch engine
-// concurrently for SMs on different shards, each shard with its own
-// tally. Its only error is a stream that cannot be decoded.
-func (ls *launchState) execWarp(sm *smRT, w *warpRT, tally []*Stats, out *issuedStep, now uint64) error {
+// priceShared. runAhead calls it after the scheduler's pick, ahead of
+// the loop's clock, with out the SM's issued-step slot and now the
+// pick's cycle. Its only error is a stream that cannot be decoded.
+func (ls *launchState) execWarp(sm *smRT, w *warpRT, out *issuedStep, now uint64) error {
 	st := &out.st
 	if err := w.w.Exec(nil, st); err != nil {
 		return err
@@ -420,7 +391,7 @@ func (ls *launchState) execWarp(sm *smRT, w *warpRT, tally []*Stats, out *issued
 		sm.syncReady(w)
 	}
 	cfg := &ls.g.cfg
-	ks := tally[w.cta.spec.idx]
+	ks := ls.tally[w.cta.spec.idx]
 	issue := ls.issueC
 	lat := uint64(cfg.ALULatency)
 
@@ -460,7 +431,7 @@ func (ls *launchState) execWarp(sm *smRT, w *warpRT, tally []*Stats, out *issued
 }
 
 // priceShared completes the pricing of a mem step through the shared
-// memory system. Must run serialized, in SM index order. Sharing
+// memory system, in the loop's (cycle, SM index) order. Sharing
 // statistics land in the launch's ls.shared, not a kernel's tally — the
 // tracker state they accompany is launch-global.
 func (ls *launchState) priceShared(sm *smRT, step *issuedStep, now uint64) {
@@ -503,8 +474,8 @@ func (ls *launchState) checkRelease(cta *ctaRT, now uint64) {
 // retire retires a finished warp, and its CTA once no warp of it is live:
 // that frees the CTA's resources and refills the SM. The full retire
 // mutates launch-global dispatch state (pending, rrSpec, CTA cursors), so
-// the epoch engine defers it to the coordinator's replay. Only the refill
-// can fail (fill).
+// the loop settles it only at its own clock (runAhead parks it). Only
+// the refill can fail (fill).
 func (ls *launchState) retire(sm *smRT, w *warpRT, now uint64) error {
 	w.retired = true
 	w.blocked = true

@@ -89,18 +89,17 @@ func runAheadMemory() *isa.Memory {
 	return mem
 }
 
-// TestRunAheadOrder pins the sequential loop's ordering of global steps:
-// SMs run ahead on their own state between them, so a step priced ahead
-// of the clock, or out of SM index order within a cycle, or a CTA
+// TestRunAheadOrder pins the event loop's ordering of global steps: SMs
+// run ahead on their own state between them, so a step priced ahead of
+// the clock, or out of SM index order within a cycle, or a CTA
 // completion treated as SM-local work, would reorder cache, DRAM-queue,
 // sharing-tracker or dispatch state. runAheadKernel makes each of those
-// orders matter. Every leg's Stats must equal the epoch engine's on two
-// workers, at epochs 1 and 64, and hash to its pin, taken from the loop
-// that visited every SM at every cycle it could issue at. The legs: the
-// paper baseline; GTX480 with its L1; one DRAM channel with a one-byte
-// bus, whose queues grow deep; a DRAM latency beyond the wake wheel's
-// span, so SMs wait in its far set; and a concurrent launch with a
-// vector add, whose CTA refills interleave with runAheadKernel's.
+// orders matter. Every leg's Stats must hash to its pin, taken from the
+// loop that visited every SM at every cycle it could issue at. The legs:
+// the paper baseline; GTX480 with its L1; one DRAM channel with a
+// one-byte bus, whose queues grow deep; a DRAM latency beyond the wake
+// wheel's span, so SMs wait in its far set; and a concurrent launch with
+// a vector add, whose CTA refills interleave with runAheadKernel's.
 func TestRunAheadOrder(t *testing.T) {
 	narrow := Base()
 	narrow.Name = "narrow-dram"
@@ -130,29 +129,17 @@ func TestRunAheadOrder(t *testing.T) {
 		}, "851d3795f6dd34e453ab77fdd291199ad3c9f49644402aa28e54158cff85180d"},
 	}
 	for _, leg := range legs {
-		run := func(workers, epoch int) string {
-			cfg := leg.cfg
-			cfg.ShardWorkers, cfg.EpochCycles = workers, epoch
-			g, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := leg.launch(g); err != nil {
-				t.Fatalf("%s: %v", leg.name, err)
-			}
-			wait(t, g)
-			return statsJSON(t, g.Stats)
+		g, err := New(leg.cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		seq := run(0, 0)
-		sum := sha256.Sum256([]byte(seq))
+		if err := leg.launch(g); err != nil {
+			t.Fatalf("%s: %v", leg.name, err)
+		}
+		wait(t, g)
+		sum := sha256.Sum256([]byte(statsJSON(t, g.Stats)))
 		if got := hex.EncodeToString(sum[:]); got != leg.pin {
 			t.Errorf("%s: Stats hash %s, pinned %s", leg.name, got, leg.pin)
-		}
-		for _, epoch := range []int{1, 64} {
-			if par := run(2, epoch); par != seq {
-				t.Errorf("%s: epoch engine (2 workers, epoch %d) diverges from the sequential loop\nepoch: %s\nloop:  %s",
-					leg.name, epoch, par, seq)
-			}
 		}
 	}
 }

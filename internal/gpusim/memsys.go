@@ -158,7 +158,7 @@ func halfRunFits(a, stride uint64) bool {
 // and do not conflict. Hardware with fewer banks than lanes services the
 // warp in lane groups of the bank count (half-warps on 16-bank parts), so
 // conflicts are computed within each group and the worst group governs.
-// It is stateless and safe to call from concurrent SM shards.
+// It is stateless.
 type bankModel struct {
 	banks   int
 	mask    uint64 // banks-1 when banks is a power of two
@@ -190,7 +190,7 @@ func newBankModel(cfg *Config) bankModel {
 // strided step expands into when it takes the per-lane path. A warp has
 // at most 32 lanes, so 32 words per bank always suffice, and reusing the
 // scratch keeps the conflict model allocation-free on the hot path. Each
-// SM owns one (smCaches.bankScr) so concurrent shards never share it.
+// SM owns one (smCaches.bankScr).
 type bankScratch struct {
 	words [32][32]uint64
 	count [32]uint8
@@ -384,41 +384,29 @@ type linePath func(now uint64, caches *smCaches, line uint64) uint64
 // L1-biased SMs — are wired as line paths at construction instead of
 // branches inside the event loop.
 //
-// localCost touches no launch-global state and may be called from
-// concurrent SM shards; sharedCost routes through the caches, the DRAM
-// channels and the sharing tracker and must be called serialized, in SM
-// index order, to keep parallel runs bit-identical to sequential ones.
+// localCost touches only state private to the SM, so the event loop
+// settles it while an SM runs ahead of the clock (runAhead); sharedCost
+// routes through the caches, the DRAM channels and the sharing tracker,
+// which are launch-global, so the loop calls it in (cycle, SM index)
+// order.
 type memSubsystem struct {
 	cfg     *Config
 	coal    coalescer
 	banks   bankModel
 	sharing *sharingTracker
-	dram    dramModel
 
 	constPath linePath
 	texPath   linePath
 	loadPath  linePath // global/local loads
 	storePath linePath // global/local stores (bypass the L1)
-
-	// Per-space lower bounds on a load's latency (priceLines' return for
-	// store=false), derived from the shortest path through each hierarchy:
-	// a cache hit when the cache exists, the full miss path otherwise.
-	// The epoch-parallel simulator parks a warp at issue+minLoadLat-style
-	// bounds before the real latency is known, so these must never exceed
-	// what priceLines can return (clamped ≥ 1 so a bound always lies
-	// strictly past the issue cycle).
-	minConstLat uint64
-	minTexLat   uint64
-	minLoadLat  uint64
 }
 
-func newMemSubsystem(cfg *Config, l2 *cache, d dramModel, sharing *sharingTracker) *memSubsystem {
+func newMemSubsystem(cfg *Config, l2 *cache, d *fifoDRAM, sharing *sharingTracker) *memSubsystem {
 	ms := &memSubsystem{
 		cfg:     cfg,
 		coal:    newCoalescer(cfg),
 		banks:   newBankModel(cfg),
 		sharing: sharing,
-		dram:    d,
 	}
 
 	// The L2 (when present) fronts DRAM for texture, global and local
@@ -476,48 +464,7 @@ func newMemSubsystem(cfg *Config, l2 *cache, d dramModel, sharing *sharingTracke
 	} else {
 		ms.loadPath = ms.storePath
 	}
-
-	// Shortest completion through each path mirrors the wiring above.
-	minDRAM := d.minAccess()
-	l2Min := minDRAM
-	if l2 != nil {
-		l2Min = uint64(cfg.L2Latency)
-	}
-	ms.minConstLat = constLat
-	if cfg.ConstCacheKB <= 0 {
-		ms.minConstLat = minDRAM + constLat
-	}
-	ms.minTexLat = texLat
-	if cfg.TexCacheKB <= 0 {
-		ms.minTexLat = l2Min + texLat
-	}
-	ms.minLoadLat = l2Min
-	if cfg.L1CacheKB > 0 {
-		ms.minLoadLat = uint64(cfg.L1Latency)
-	}
-	clamp1 := func(v *uint64) {
-		if *v < 1 {
-			*v = 1
-		}
-	}
-	clamp1(&ms.minConstLat)
-	clamp1(&ms.minTexLat)
-	clamp1(&ms.minLoadLat)
 	return ms
-}
-
-// minLoadLatency returns the λ bound for a load from the space: no load
-// priced by priceLines completes in fewer cycles than this. See the
-// minConstLat field comment for the epoch-parallel contract.
-func (ms *memSubsystem) minLoadLatency(space isa.Space) uint64 {
-	switch space {
-	case isa.SpaceConst:
-		return ms.minConstLat
-	case isa.SpaceTex:
-		return ms.minTexLat
-	default:
-		return ms.minLoadLat
-	}
 }
 
 // sharedSpace reports whether pricing the instruction routes through the
@@ -529,7 +476,7 @@ func sharedSpace(sp isa.Space) bool {
 
 // localCost prices the memory spaces private to an SM — parameter reads
 // and shared memory with its bank conflicts — charging conflict cycles
-// to ks. Safe under concurrent per-shard execution.
+// to ks.
 func (ms *memSubsystem) localCost(st *isa.Step, issue uint64, ks *Stats, scr *bankScratch) (uint64, uint64) {
 	if st.Instr.Space == isa.SpaceParam {
 		return issue, uint64(ms.cfg.ParamLatency)
@@ -559,45 +506,32 @@ func isStoreOp(op isa.Op) bool { return op == isa.OpSt || op == isa.OpStF }
 
 // sharedCost prices the memory spaces that go through the cache
 // hierarchy and DRAM channels (constant, texture, global, local,
-// atomics). Callers must serialize invocations in SM index order.
+// atomics): it routes the step's coalesced lines through the caches, the
+// DRAM channels and, for global accesses, the sharing tracker at cycle
+// now. It returns the issue charge, one extra slot per line beyond the
+// first, and the warp latency: the last line's completion for loads,
+// ALULatency for stores (which are buffered; the warp proceeds once the
+// transactions are issued, but they still consume DRAM bandwidth here).
+// Callers must serialize invocations in global (cycle, SM index) order.
 func (ms *memSubsystem) sharedCost(now uint64, caches *smCaches, cta int, st *isa.Step, issue uint64, gs *Stats) (uint64, uint64) {
 	space := st.Instr.Space
 	lines := ms.coal.lines(st, laneBaseOf(space))
-	store := isStoreOp(st.Instr.Op)
-	lat := ms.priceLines(now, caches, cta, space, store, lines, gs)
-	return issue + uint64(len(lines)-1), lat
-}
-
-// priceLines routes one warp instruction's coalesced lines through the
-// launch-global memory system at cycle now — caches, DRAM channels and,
-// for global accesses, the sharing tracker — and returns the warp
-// latency: the last line's completion for loads, ALULatency for stores
-// (which are buffered; the warp proceeds once the transactions are
-// issued, but they still consume DRAM bandwidth here). The issue-slot
-// charge (one extra slot per line beyond the first) is the caller's,
-// since it needs no global state. Callers must serialize invocations in
-// global (cycle, SM index) order; the epoch-parallel coordinator calls
-// this directly from buffered per-SM logs with exactly that ordering.
-func (ms *memSubsystem) priceLines(now uint64, caches *smCaches, cta int, space isa.Space, store bool, lines []uint64, gs *Stats) uint64 {
+	issue += uint64(len(lines) - 1)
 	switch space {
 	case isa.SpaceConst:
-		return ms.complete(now, caches, ms.constPath, lines) - now
+		return issue, ms.complete(now, caches, ms.constPath, lines) - now
 	case isa.SpaceTex:
-		return ms.complete(now, caches, ms.texPath, lines) - now
-	default: // global, local, atomics
-		if space == isa.SpaceGlobal {
-			ms.sharing.track(cta, lines, gs)
-		}
-		path := ms.loadPath
-		if store {
-			path = ms.storePath
-		}
-		done := ms.complete(now, caches, path, lines)
-		if store {
-			return uint64(ms.cfg.ALULatency)
-		}
-		return done - now
+		return issue, ms.complete(now, caches, ms.texPath, lines) - now
 	}
+	// Global, local and atomics.
+	if space == isa.SpaceGlobal {
+		ms.sharing.track(cta, lines, gs)
+	}
+	if isStoreOp(st.Instr.Op) {
+		ms.complete(now, caches, ms.storePath, lines)
+		return issue, uint64(ms.cfg.ALULatency)
+	}
+	return issue, ms.complete(now, caches, ms.loadPath, lines) - now
 }
 
 // complete sends each line down the path and returns the last completion

@@ -9,11 +9,8 @@ import (
 // Telemetry for the timing core follows a two-level design so the event
 // loop never touches an atomic:
 //
-//   - launchObs is a per-launch tally of plain integers. The sequential
-//     loop owns it outright; on the epoch engine every mutable field is
-//     either a per-SM array slot (each SM belongs to exactly one worker)
-//     or coordinator-only state, so no synchronization is needed beyond
-//     the worker barrier's existing happens-before edges.
+//   - launchObs is a per-launch tally of plain integers, which the event
+//     loop owns outright.
 //   - gpuCounters caches the registry instruments once per SetObs call
 //     — including the per-SM labeled counters — and flushObs folds a
 //     finished launch's tallies into them. Registry lookups therefore
@@ -25,56 +22,34 @@ import (
 
 // launchObs tallies one launch's timing telemetry.
 type launchObs struct {
-	// Per-SM, indexed by SM number. Written only by the SM's owning
-	// goroutine (sequential loop or the epoch worker that shards it). On
-	// the sequential loop the four partition the launch's cycles: an SM
-	// is busy or stalled at the scheduler on each cycle it picks at, and
-	// between picks it waits on its issue port, then on skipUntil; the
-	// final DRAM drain counts as skip. The loop tallies each pick at its
-	// own cycle as the SM runs ahead of the clock (runAhead), so the
-	// tallies are those of a scan of every SM on every cycle.
+	// Per-SM, indexed by SM number. The four partition the launch's
+	// cycles: an SM is busy or stalled at the scheduler on each cycle it
+	// picks at, and between picks it waits on its issue port, then on
+	// skipUntil; the final DRAM drain counts as skip. The loop tallies
+	// each pick at its own cycle as the SM runs ahead of the clock
+	// (runAhead), so the tallies are those of a scan of every SM on
+	// every cycle.
 	busy      []uint64 // cycles the SM issued a warp instruction
 	stallPort []uint64 // cycles lost to issue-port back-pressure (issueFreeAt)
 	stallSkip []uint64 // cycles skipped via the scheduler's skipUntil bound
 	stallWarp []uint64 // scheduler scans that found no issuable warp
 
-	// Per-SM, sequential loop only: the first cycle not yet tallied.
+	// Per-SM: the first cycle not yet tallied.
 	tallied []uint64
 
-	// Per-SM, epoch path only (epoch.go); same ownership rule as above.
-	epochParks []uint64 // loads parked awaiting coordinator pricing
-	epochHolds []uint64 // SM freezes at a full-CTA retire
-
-	// Per-worker, indexed by worker id; allocated by the epoch engine at
-	// launch start and written only by the owning worker. Sampled
-	// barrier wait, extrapolated ×barrierSample.
-	barrierWaitNs []uint64
-
-	// Coordinator-only (epoch replay / sequential loop).
-	skipAhead        uint64 // cycles the clock jumped over (SetObs)
-	dramBacklog      uint64 // summed channel backlog at enqueue, in cycles
-	dramMaxBacklog   uint64 // worst single-channel backlog observed
-	dramAccesses     uint64 // line transactions enqueued
-	barrierCrossings uint64 // coordinator rounds on the epoch path, one barrier each
-
-	// Registry histograms, observed directly (atomic, concurrency-safe):
-	// raw per-worker barrier-wait samples and per-round epoch advance.
-	// Cached here so collection sites never take the registry mutex.
-	waitHist  *obs.Histogram
-	roundHist *obs.Histogram
+	skipAhead      uint64 // cycles the clock jumped over (SetObs)
+	dramBacklog    uint64 // summed channel backlog at enqueue, in cycles
+	dramMaxBacklog uint64 // worst single-channel backlog observed
+	dramAccesses   uint64 // line transactions enqueued
 }
 
-func newLaunchObs(numSMs int, c *gpuCounters) *launchObs {
+func newLaunchObs(numSMs int) *launchObs {
 	return &launchObs{
-		busy:       make([]uint64, numSMs),
-		stallPort:  make([]uint64, numSMs),
-		stallSkip:  make([]uint64, numSMs),
-		stallWarp:  make([]uint64, numSMs),
-		tallied:    make([]uint64, numSMs),
-		epochParks: make([]uint64, numSMs),
-		epochHolds: make([]uint64, numSMs),
-		waitHist:   c.waitHist,
-		roundHist:  c.roundHist,
+		busy:      make([]uint64, numSMs),
+		stallPort: make([]uint64, numSMs),
+		stallSkip: make([]uint64, numSMs),
+		stallWarp: make([]uint64, numSMs),
+		tallied:   make([]uint64, numSMs),
 	}
 }
 
@@ -92,8 +67,8 @@ func (lo *launchObs) idle(si int, to, issueFreeAt uint64) {
 	lo.tallied[si] = to
 }
 
-// visited tallies SM si's pick at cycle now on the sequential loop: an
-// issue, or an empty scheduler scan.
+// visited tallies SM si's pick at cycle now: an issue, or an empty
+// scheduler scan.
 func (lo *launchObs) visited(si int, now uint64, issued bool) {
 	if issued {
 		lo.busy[si]++
@@ -102,11 +77,6 @@ func (lo *launchObs) visited(si int, now uint64, issued bool) {
 	}
 	lo.tallied[si] = now + 1
 }
-
-// barrierSample is the epoch workers' barrier sampling period: one in
-// every barrierSample waits is timed and extrapolated, keeping clock
-// reads off the common path.
-const barrierSample = 64
 
 // gpuCounters is the registry-instrument cache flushObs writes into.
 type gpuCounters struct {
@@ -125,33 +95,20 @@ type gpuCounters struct {
 	dramBacklog    *obs.Counter
 	dramMaxBacklog *obs.Gauge
 	dramAccesses   *obs.Counter
-
-	barrierWaitNs, barrierCrossings *obs.Counter
-
-	epochParks, epochHolds *obs.Counter
-
-	waitHist  *obs.Histogram
-	roundHist *obs.Histogram
 }
 
 func newGPUCounters(r *obs.Registry, numSMs int) *gpuCounters {
 	c := &gpuCounters{
-		stallPort:        r.Counter("gpusim.stall.port_cycles"),
-		stallSkip:        r.Counter("gpusim.stall.skip_cycles"),
-		stallWarp:        r.Counter("gpusim.stall.sched_cycles"),
-		skipAhead:        r.Counter("gpusim.clock.skipped_cycles"),
-		cycles:           r.Counter("gpusim.cycles"),
-		launches:         r.Counter("gpusim.launches"),
-		overlapped:       r.Counter("gpusim.launch.overlapped"),
-		dramBacklog:      r.Counter("gpusim.dram.backlog_cycles"),
-		dramMaxBacklog:   r.Gauge("gpusim.dram.max_backlog_cycles"),
-		dramAccesses:     r.Counter("gpusim.dram.accesses"),
-		barrierWaitNs:    r.Counter("gpusim.barrier.wait_ns"),
-		barrierCrossings: r.Counter("gpusim.barrier.crossings"),
-		epochParks:       r.Counter("gpusim.epoch.parked_loads"),
-		epochHolds:       r.Counter("gpusim.epoch.retire_holds"),
-		waitHist:         r.Histogram("gpusim.barrier.wait_sample_ns"),
-		roundHist:        r.Histogram("gpusim.epoch.round_cycles"),
+		stallPort:      r.Counter("gpusim.stall.port_cycles"),
+		stallSkip:      r.Counter("gpusim.stall.skip_cycles"),
+		stallWarp:      r.Counter("gpusim.stall.sched_cycles"),
+		skipAhead:      r.Counter("gpusim.clock.skipped_cycles"),
+		cycles:         r.Counter("gpusim.cycles"),
+		launches:       r.Counter("gpusim.launches"),
+		overlapped:     r.Counter("gpusim.launch.overlapped"),
+		dramBacklog:    r.Counter("gpusim.dram.backlog_cycles"),
+		dramMaxBacklog: r.Gauge("gpusim.dram.max_backlog_cycles"),
+		dramAccesses:   r.Counter("gpusim.dram.accesses"),
 	}
 	for s := 0; s < numSMs; s++ {
 		label := strconv.Itoa(s)
@@ -173,23 +130,16 @@ func newGPUCounters(r *obs.Registry, numSMs int) *gpuCounters {
 //
 //   - per SM, gpusim.sm.{busy,idle}_cycles{sm=N}, whose sum is the SM's
 //     gpusim.sm.cycles{sm=N}, and the stall cycles by reason,
-//     gpusim.sm.{port,skip,sched}_cycles{sm=N}; on the sequential loop
-//     busy, port, skip and sched partition the SM's cycles (launchObs);
+//     gpusim.sm.{port,skip,sched}_cycles{sm=N}; busy, port, skip and
+//     sched partition the SM's cycles (launchObs);
 //   - the stall totals over SMs, gpusim.stall.{port,skip,sched}_cycles;
-//   - gpusim.clock.skipped_cycles, the cycles the sequential loop's clock
+//   - gpusim.clock.skipped_cycles, the cycles the event loop's clock
 //     jumps over between the global events it stops at (run: a parked
 //     memory or CTA-completing step, or an SM's first or emptied visit;
-//     the final DRAM drain aside), and the cycles an idle epoch round
-//     jumps its target over. SMs pick on many of those cycles while
-//     they run ahead of the clock, so it does not count cycles on which
-//     no SM picked;
+//     the final DRAM drain aside). SMs pick on many of those cycles
+//     while they run ahead of the clock, so it does not count cycles on
+//     which no SM picked;
 //   - DRAM channel backlog and accesses (gpusim.dram.*);
-//   - sampled per-worker shard-barrier wait (gpusim.barrier.wait_ns
-//     summed, raw samples in the gpusim.barrier.wait_sample_ns
-//     histogram) and barrier crossings (gpusim.barrier.crossings, one
-//     per epoch round);
-//   - the epoch engine's parked loads, retire holds and per-round clock
-//     advance (gpusim.epoch.*);
 //   - gpusim.launch.overlapped, the live launches whose producers started
 //     while an earlier launch's timing was still pending (feed.go). It
 //     depends on host scheduling, so unlike the rest it is not a
@@ -210,7 +160,7 @@ func (g *GPU) SetObs(r *obs.Registry) {
 // derived, not counted: every launch cycle an SM did not issue is idle,
 // so busy+idle equals the launch's cycle count per SM by construction.
 func (c *gpuCounters) flushObs(lo *launchObs, launchCycles uint64) {
-	var port, skip, warp, parks, holds uint64
+	var port, skip, warp uint64
 	for s := range lo.busy {
 		c.busy[s].Add(lo.busy[s])
 		c.idle[s].Add(launchCycles - lo.busy[s])
@@ -221,8 +171,6 @@ func (c *gpuCounters) flushObs(lo *launchObs, launchCycles uint64) {
 		port += lo.stallPort[s]
 		skip += lo.stallSkip[s]
 		warp += lo.stallWarp[s]
-		parks += lo.epochParks[s]
-		holds += lo.epochHolds[s]
 	}
 	c.stallPort.Add(port)
 	c.stallSkip.Add(skip)
@@ -233,12 +181,4 @@ func (c *gpuCounters) flushObs(lo *launchObs, launchCycles uint64) {
 	c.dramBacklog.Add(lo.dramBacklog)
 	c.dramMaxBacklog.SetMax(int64(lo.dramMaxBacklog))
 	c.dramAccesses.Add(lo.dramAccesses)
-	var wait uint64
-	for _, w := range lo.barrierWaitNs {
-		wait += w
-	}
-	c.barrierWaitNs.Add(wait)
-	c.barrierCrossings.Add(lo.barrierCrossings)
-	c.epochParks.Add(parks)
-	c.epochHolds.Add(holds)
 }

@@ -2,14 +2,12 @@ package gpusim
 
 // warpScheduler selects which warp an SM issues next. Implementations
 // may keep per-SM cursor state on the smRT they are handed, but must not
-// touch state belonging to other SMs or to the launch: the sequential
-// loop calls pick for an SM at cycles ahead of its clock (runAhead), and
-// the parallel launch path calls it concurrently for SMs on different
-// shards.
+// touch state belonging to other SMs or to the launch: the event loop
+// calls pick for an SM at cycles ahead of its clock (runAhead).
 type warpScheduler interface {
 	// pick returns a warp on sm that can issue at cycle now. When no warp
 	// can, it returns nil and must record sm.skipUntil — the earliest
-	// cycle any warp on the SM could issue (smRT.nextReady's value) — so
+	// cycle any warp on the SM could issue, the least of sm.ready — so
 	// the event loop skips the SM without rescanning; the failing scan
 	// already visited every warp, so the bound is free.
 	pick(sm *smRT, now uint64) *warpRT

@@ -22,7 +22,7 @@ func refPick(ready []uint64, rr int, now uint64) (int, uint64) {
 }
 
 // TestLooseRoundRobinPick checks looseRoundRobin.pick, whose contract
-// the sequential loop's run-ahead relies on, against refPick: on random
+// the event loop's run-ahead relies on, against refPick: on random
 // ready arrays of 1 to 130 warps (so the scan crosses 64 and 128 slots),
 // with the cursor at 0, at n-1 and where a retirement compaction leaves
 // it, with ties, on an all-blocked SM and on an empty one. A pick must

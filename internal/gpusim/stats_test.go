@@ -8,18 +8,71 @@ import (
 	"repro/internal/isa"
 )
 
+// runMixedWorkload runs a fixed workload on a fresh device of the given
+// configuration and returns its Stats: two single-kernel launches, a
+// barrier-heavy reduction, one concurrent two-kernel launch, and a
+// vector add with four CTAs per SM, whose grid reaches every SM of a
+// device where four fit, all on the same GPU so persistent cache and
+// sharing-tracker state is exercised across launches.
+func runMixedWorkload(t *testing.T, cfg Config) *Stats {
+	t.Helper()
+	const n = 4096
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	memA, _ := setupVecAdd(n)
+	if err := g.Launch(vecAddKernel(), isa.Launch{Grid: n / 256, Block: 256}, memA); err != nil {
+		t.Fatal(err)
+	}
+
+	memB := isa.NewMemory()
+	hot := memB.AllocGlobal(16 * 8192 * 4)
+	memB.SetParamI(0, int64(hot))
+	if err := g.Launch(memBoundKernel(), isa.Launch{Grid: 32, Block: 256}, memB); err != nil {
+		t.Fatal(err)
+	}
+
+	memR := isa.NewMemory()
+	red := memR.AllocGlobal(16 * 8)
+	memR.SetParamI(0, int64(red))
+	if err := g.Launch(reduceKernel(256), isa.Launch{Grid: 16, Block: 256}, memR); err != nil {
+		t.Fatal(err)
+	}
+
+	memC, _ := setupVecAdd(n)
+	memD := isa.NewMemory()
+	reg := memD.AllocGlobal(16 * 8192 * 4)
+	memD.SetParamI(0, int64(reg))
+	if err := g.LaunchConcurrent([]LaunchSpec{
+		{Kernel: vecAddKernel(), Launch: isa.Launch{Grid: n / 256, Block: 256}, Mem: memC},
+		{Kernel: reuseKernel(), Launch: isa.Launch{Grid: 8, Block: 256}, Mem: memD},
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	nw := cfg.NumSMs * 4 * 256
+	memW, _ := setupVecAdd(nw)
+	if err := g.Launch(vecAddKernel(), isa.Launch{Grid: nw / 256, Block: 256}, memW); err != nil {
+		t.Fatal(err)
+	}
+	wait(t, g)
+	return g.Stats
+}
+
 // TestStatsCheck requires Check to pass on a live multi-kernel workload,
 // on a configuration without data caches and on one with both, and to
 // name each identity when a copy of the Stats breaks it.
 func TestStatsCheck(t *testing.T) {
 	for _, cfg := range []Config{Base8SM(), GTX480(L1Bias)} {
-		st, _ := runDeterminismWorkload(t, cfg)
+		st := runMixedWorkload(t, cfg)
 		if err := st.Check(cfg); err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
 	}
 	cfg := Base8SM()
-	st, _ := runDeterminismWorkload(t, cfg)
+	st := runMixedWorkload(t, cfg)
 	if st.DivergentBranches == 0 || st.BankConflictCycles == 0 || len(st.PerKernel) < 3 {
 		t.Fatalf("workload too tame to break every identity: %+v", st)
 	}

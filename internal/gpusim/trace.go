@@ -123,8 +123,8 @@ func (g *GPU) Capture() *TraceBuilder {
 // executing kernels, on the calling goroutine, after waiting for pending
 // launches (Wait). It fails up front when the trace is not replayable
 // (see RunTrace.Replayable), and returns an error when a launch's
-// recording does not match its geometry or a warp's stream cannot be
-// decoded (a truncated one, say).
+// recording does not match its geometry, a warp's stream cannot be
+// decoded (a truncated one, say) or the event loop panics.
 func (g *GPU) Replay(rt *RunTrace) error {
 	if err := g.Wait(); err != nil {
 		return err
@@ -141,7 +141,7 @@ func (g *GPU) Replay(rt *RunTrace) error {
 				lt.Kernel.Name, len(lt.Warps), want)
 		}
 		sp := &runSpec{idx: 0, k: lt.Kernel, launch: lt.Launch, trace: lt}
-		if err := g.runLaunch([]*runSpec{sp}); err != nil {
+		if err := g.timeLaunch([]*runSpec{sp}); err != nil {
 			return err
 		}
 	}

@@ -44,8 +44,7 @@ func liveStats(t *testing.T, cfg Config, n int) *Stats {
 
 // TestTraceReplayBitIdentical captures under the base config and replays
 // under several timing configurations — including a different SM count
-// and the sharded event loop — asserting Stats match live execution bit
-// for bit.
+// — asserting Stats match live execution bit for bit.
 func TestTraceReplayBitIdentical(t *testing.T) {
 	const n = 4096
 	rt := captureVecAdd(t, Base(), n)
@@ -53,10 +52,7 @@ func TestTraceReplayBitIdentical(t *testing.T) {
 		t.Fatalf("trace: %d launches, %d bytes", rt.NumLaunches(), rt.Bytes())
 	}
 
-	sharded := Base8SM()
-	sharded.Name = "base8sm-sharded"
-	sharded.ShardWorkers = 3
-	for _, cfg := range []Config{Base(), Base8SM(), GTX280(), sharded} {
+	for _, cfg := range []Config{Base(), Base8SM(), GTX280()} {
 		g, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -138,13 +134,10 @@ func TestTraceAtomicsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sharded := Base8SM()
-	sharded.Name = "base8sm-sharded"
-	sharded.ShardWorkers = 3
 	channels := Base()
 	channels.Name = "base-4ch"
 	channels.MemChannels = 4
-	for _, cfg := range []Config{Base(), Base8SM(), channels, GTX280(), GTX480(SharedBias), GTX480(L1Bias), sharded} {
+	for _, cfg := range []Config{Base(), Base8SM(), channels, GTX280(), GTX480(SharedBias), GTX480(L1Bias)} {
 		replay, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -8,7 +8,7 @@ import "math/bits"
 // far set.
 const wheelSlots = 1024
 
-// wakeWheel is the sequential loop's schedule: each SM is filed under
+// wakeWheel is the event loop's schedule: each SM is filed under
 // the next cycle the loop must visit it at — the cycle of the global
 // step it parked (run), or its wake (smRT.wake) on its first visit and
 // once it has no warps — and the loop visits only the SMs filed under

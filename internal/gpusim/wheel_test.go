@@ -6,12 +6,11 @@ import (
 	"testing"
 )
 
-// TestWakeWheelOrder drives the wake wheel the way the sequential loop
-// does — jump to the next filed cycle, drain its SMs, refile each — with
+// TestWakeWheelOrder drives the wake wheel the way the event loop does
+// — jump to the next filed cycle, drain its SMs, refile each — with
 // random wakes near, at the edge of the wheel's span, beyond it and
-// never, and checks
-// every drain against a scan of all SMs' wakes: the earliest wake, and
-// the SMs filed under it in index order.
+// never, and checks every drain against a scan of all SMs' wakes: the
+// earliest wake, and the SMs filed under it in index order.
 func TestWakeWheelOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for _, numSMs := range []int{1, 7, 64, 65, 130, 1024} {

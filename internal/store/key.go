@@ -48,9 +48,9 @@ func StatsKey(bench string, size sizes.Class, cfg gpusim.Config) Key {
 }
 
 // StatsConfig is the part of cfg that a characterization's Stats depend
-// on: cfg with the host-side execution knobs — Name, ShardWorkers,
-// EpochCycles — cleared. They never change Stats (pinned by the suite
-// matrix), so results computed under any of them are one result.
+// on: cfg with Name and the ignored ShardWorkers and EpochCycles
+// cleared. None of them changes Stats, so results computed under any of
+// them are one result.
 func StatsConfig(cfg gpusim.Config) gpusim.Config {
 	cfg.Name = ""
 	cfg.ShardWorkers = 0

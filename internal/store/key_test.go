@@ -39,10 +39,9 @@ func TestKeyGolden(t *testing.T) {
 // TestStatsKeyConfigSensitivity walks every gpusim.Config field by
 // reflection and asserts the key reacts correctly to a change in each:
 // architectural parameters must produce a different key (a stale artifact
-// must become a miss, never a cross-config collision), while host-side
-// execution knobs — Name, ShardWorkers, EpochCycles — must not (they are
-// proven not to change Stats, and splitting their keys would cold-start
-// every -workers run).
+// must become a miss, never a cross-config collision), while Name and
+// the ignored ShardWorkers and EpochCycles must not (none of them
+// changes Stats).
 func TestStatsKeyConfigSensitivity(t *testing.T) {
 	hostKnobs := map[string]bool{"Name": true, "ShardWorkers": true, "EpochCycles": true}
 	base := gpusim.Base()
